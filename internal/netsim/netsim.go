@@ -161,9 +161,9 @@ type Config struct {
 	// every Result field is bit-identical with stats on or off, and the
 	// counters are flushed once at the end of the run, not per event.
 	Stats *EngineStats
-	// Shards selects the event-loop execution mode. 0 (the default) is
-	// the sequential engine: one event loop, one RNG stream — the
-	// committed-golden code path. Any value >= 1 enables session-sharded
+	// Shards selects the event-loop execution mode. 0 (the default) runs
+	// one engine over every session: one event loop, one RNG stream —
+	// the committed-golden configuration. Any value >= 1 enables session-sharded
 	// execution: sessions whose multicast trees share no link (computed
 	// by union-find over link sets) run as independent event loops on up
 	// to Shards concurrent goroutines, each with its own calendar and a
@@ -551,19 +551,8 @@ type sessState struct {
 	cfg    SessionConfig
 	scheme layering.Scheme
 	m      int32     // layers (M); the sender is pre-order node 0
-	period []float64 // [layer] inter-packet time
 	cum    []float64 // [0..M] cumulative scheme rate
 
-	// Transmit calendar. The exponential scheme's periods are dyadic:
-	// layer l >= 1 fires every 2^(M-1-l) ticks of the finest layer's
-	// clock and layer 0 shares layer 1's period, so the layers due at
-	// tick n are exactly the contiguous range [M-1-TrailingZeros(n),
-	// M-1] (clamped, and pulled down to 0 when it reaches 1). One
-	// counter and one TrailingZeros replace a heap round trip per
-	// packet; times are n*tickDt, exact in float64. The next
-	// transmission instant lives in engine.txCal, not here.
-	tick   uint64  // finest-layer ticks elapsed
-	tickDt float64 // period of layer M-1
 	// nAtLevel[v] counts receivers currently at subscription level v,
 	// letting the signal clock skip sessions with no receiver at or
 	// below the signal level.
@@ -709,12 +698,12 @@ type engine struct {
 	sess  []sessState
 	// gsess maps the engine's local session index to the network's
 	// global session index. Nil means identity: the engine owns every
-	// session (the sequential path). Sharded group engines own a subset.
-	gsess   []int
-	numSess int
+	// session (Shards == 0). Sharded group engines own a subset.
+	gsess []int
 	// churn is the engine's churn schedule with ChurnEvent.Session
-	// rewritten to local session indices (the sequential engine aliases
-	// cfg.Churn unchanged; group engines carry their filtered slice).
+	// rewritten to local session indices (an engine owning every session
+	// aliases cfg.Churn unchanged; group engines carry their filtered
+	// slice).
 	churn []ChurnEvent
 	// capDem packs capacity-admission rows — current fluid demand (sum
 	// over sessions crossing the link of cum[subMax[child]], maintained
@@ -753,24 +742,7 @@ type engine struct {
 	// only on single-session shard-group engines whose tree was cut.
 	part *treePartition
 
-	// Uniform-calendar fast path: when every session shares one tick
-	// period (equal layer counts — the common case, and all of the
-	// committed benchmarks), the sessions' calendars advance in lockstep
-	// and the "earliest txMin, lowest index" rule the transmit loop
-	// needs is exactly round-robin order: sessions calCursor..S-1 sit at
-	// time T and 0..calCursor-1 at T+dt, so the minimum is always
-	// calCursor. Tracking it incrementally replaces the O(sessions)
-	// argmin scan per calendar tick — the dominant cost on hub-heavy
-	// multi-session topologies — with O(1), mirroring how the solo-node
-	// shortcut replaces the subscription count row. Mixed-period session
-	// sets fall back to the scan.
-	calUniform bool
-	calCursor  int
-	// txCal[i] is session i's next transmission instant, (tick+1)*tickDt
-	// — kept dense (rather than inside sessState) so the per-tick argmin
-	// peek touches a handful of cache lines instead of one line per
-	// session's sprawling state record.
-	txCal []float64
+	cal calendar
 
 	signalIdx int
 	// signalPeriod is the resolved Coordinated signal period (the
@@ -789,19 +761,14 @@ type engine struct {
 	heapHW                          int
 }
 
-func newEngine(cfg Config) (*engine, error) {
-	return newEngineFor(cfg, nil, cfg.Churn, cfg.Seed)
-}
-
 // newEngineFor builds an engine that owns a subset of the network's
 // sessions. sessIDs lists the owned sessions by global index in
-// ascending order (nil means all of them — the sequential path, which
-// must stay exactly the historical engine); churn is the schedule with
-// ChurnEvent.Session already rewritten to local indices (the caller
-// filters it for group engines); seed feeds the engine's private PCG
-// stream. Everything the engine allocates is sized by its own sessions'
-// trees, so disjoint group engines partition — not duplicate — the
-// sequential engine's memory.
+// ascending order (nil means all of them, the Shards == 0 engine);
+// churn is the schedule with ChurnEvent.Session already rewritten to
+// local indices (the caller filters it for group engines); seed feeds
+// the engine's private PCG stream. Everything the engine allocates is
+// sized by its own sessions' trees, so disjoint group engines partition
+// — not duplicate — the single engine's memory.
 func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*engine, error) {
 	net := cfg.Network
 	g := net.Graph()
@@ -810,13 +777,12 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		numSess = len(sessIDs)
 	}
 	e := &engine{
-		cfg:     cfg,
-		net:     net,
-		rng:     rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-		sess:    make([]sessState, numSess),
-		gsess:   sessIDs,
-		churn:   churn,
-		numSess: numSess,
+		cfg:   cfg,
+		net:   net,
+		rng:   rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
+		sess:  make([]sessState, numSess),
+		gsess: sessIDs,
+		churn: churn,
 	}
 	e.leaveLatency = cfg.LeaveLatency
 	// One pass over the specs decides which per-link structures exist at
@@ -874,13 +840,11 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 	gChildren := make([][]buildEdge, nn)
 	intern := make([]int32, nn) // global node id -> session-internal id
 	// Construction scratch reused across sessions, and one immutable
-	// layering scheme per distinct layer count, in a dense slice keyed by
-	// layer count (the zero Scheme has NumLayers 0, so presence is the
-	// value itself — no map on the construction path).
+	// layering scheme per distinct layer count (see exponential).
 	var globalOf, dfs, fill, dfill []int32
 	schemes := make([]layering.Scheme, MaxLayers+1)
+	layers := make([]int32, numSess) // handed to the calendar
 	maxEdges := 0
-	e.txCal = make([]float64, len(e.sess))
 	for li := range e.sess {
 		gi := li
 		if sessIDs != nil {
@@ -890,12 +854,8 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		sc := cfg.Sessions[gi]
 		m := int32(sc.Layers)
 		s := &e.sess[li]
-		sch := schemes[sc.Layers]
-		if sch.NumLayers() == 0 {
-			sch = layering.Exponential(sc.Layers)
-			schemes[sc.Layers] = sch
-		}
-		*s = sessState{idx: li, cfg: sc, scheme: sch, m: m}
+		layers[li] = m
+		*s = sessState{idx: li, cfg: sc, scheme: exponential(schemes, sc.Layers), m: m}
 		// The session's arrays are carved out of per-width slabs once
 		// the tree is discovered and every size is known (below).
 		// Discover the multicast tree on global node ids from the
@@ -968,7 +928,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		// known after the counting pass further down.
 		s32 := make([]int32, 3*nR+(sc.Layers+1)+3*treeN+2*(treeN+1)+2*rowLen+4*nEdges+1)
 		s64 := make([]int64, nR+2*nEdges)
-		nf := 2*sc.Layers + 1 + 2*nEdges
+		nf := sc.Layers + 1 + 2*nEdges
 		if cfg.LeaveLatency > 0 {
 			nf += nEdges << s.rowShift
 		}
@@ -996,7 +956,6 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		s.crossed = take64(nEdges)
 		s.lossGap = take64(nEdges)
 		s.countdown = take64(nR)
-		s.period = takeF(sc.Layers)
 		s.cum = takeF(sc.Layers + 1)
 		s.fluidInt = takeF(nEdges)
 		s.fluidT = takeF(nEdges)
@@ -1009,11 +968,6 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		s.received = make([]int, nR)
 		s.hot = make([]hotEdge, 0, nEdges)
 		s.cold = make([]coldEdge, 0, nEdges)
-		for l := 0; l < sc.Layers; l++ {
-			s.period[l] = 1 / s.scheme.LayerRate(l)
-		}
-		s.tickDt = s.period[sc.Layers-1]
-		e.txCal[li] = s.tickDt
 		s.nAtLevel[0] = int32(nR) // all pre-join
 		for v := 0; v <= sc.Layers; v++ {
 			s.cum[v] = s.scheme.CumulativeRate(v)
@@ -1151,14 +1105,7 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 	// reserving the worst case up front keeps the walk append-free for
 	// the whole run (part of the PlanMemory no-growth contract).
 	e.fwdStack = make([]int32, 0, maxEdges)
-
-	e.calUniform = len(e.sess) > 0
-	for i := 1; i < len(e.sess); i++ {
-		if e.sess[i].tickDt != e.sess[0].tickDt {
-			e.calUniform = false
-			break
-		}
-	}
+	e.cal = newCalendar(layers, schemes)
 
 	// Seed the clock: the global signal and churn (transmissions live on
 	// the per-session calendars). Preallocate the arena at its expected
@@ -1181,8 +1128,8 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		e.probe = newProbeState(cfg.Probe, e)
 	}
 	// Intra-session subtree decomposition: only for sharded group engines
-	// (sessIDs non-nil — the sequential path stays exactly the historical
-	// engine) holding a single session. Eligibility and the frontier are
+	// (sessIDs non-nil; the Shards == 0 engine never partitions) holding
+	// a single session. Eligibility and the frontier are
 	// pure functions of the Config, never of Shards' value or core count.
 	if cfg.Shards > 0 && sessIDs != nil && len(e.sess) == 1 {
 		e.part = newTreePartition(e, &e.sess[0], seed)
@@ -1819,7 +1766,11 @@ func (e *engine) applyChurn(ev ChurnEvent) {
 	}
 }
 
-// Run executes one simulation.
+// Run executes one simulation. At Shards == 0 one engine owns every
+// session under the replication seed; at Shards >= 1 runSharded splits
+// the sessions into link-disjoint group engines. Either way the engines
+// run the same loop (run) and fold into the Result through the same
+// function (result).
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -1833,99 +1784,187 @@ func Run(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("netsim: memory plan %d bytes exceeds MemBudget %d", plan.Total, cfg.MemBudget)
 		}
 	}
+	if cfg.Network.NumSessions() == 0 {
+		return nil, fmt.Errorf("netsim: event queue drained before packet budget")
+	}
 	if cfg.Shards > 0 {
 		return runSharded(cfg)
 	}
-	e, err := newEngine(cfg)
+	e, err := newEngineFor(cfg, nil, cfg.Churn, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	for e.sent < cfg.Packets {
-		// Next sender transmission: the lowest-index session holding the
-		// earliest calendar entry. With a uniform calendar that is the
-		// round-robin cursor (see calUniform); otherwise scan.
-		var ts float64
-		var si int
-		if e.calUniform {
-			si = e.calCursor
-			ts = e.txCal[si]
-		} else {
-			ts = math.Inf(1)
-			si = -1
-			for i, tx := range e.txCal {
-				if tx < ts {
-					ts = tx
-					si = i
-				}
-			}
-			if si < 0 {
-				// No sessions can ever transmit (zero-session network).
-				return nil, fmt.Errorf("netsim: event queue drained before packet budget")
-			}
+	e.run(cfg.Packets, 0)
+	return result(cfg, []*engine{e}), nil
+}
+
+// calendar is the dyadic transmit calendar. The exponential scheme's
+// periods are dyadic: layer l >= 1 fires every 2^(M-1-l) ticks of the
+// finest layer's clock and layer 0 shares layer 1's period, so the
+// layers due at tick n are exactly the contiguous range
+// [M-1-TrailingZeros(n), M-1] (clamped, and pulled down to 0 when it
+// reaches 1). One counter and one TrailingZeros replace a heap round
+// trip per packet; times are n*dt, exact in float64. Calendars never
+// depend on event outcomes, so groupBudgets replays the same calendar
+// without an engine.
+type calendar struct {
+	// at[i] is session i's next transmission instant, (tick[i]+1)*dt[i]
+	// — kept dense so the per-tick argmin peek touches a handful of
+	// cache lines instead of one per session's state record.
+	at   []float64
+	tick []uint64  // [session] finest-layer ticks elapsed
+	dt   []float64 // [session] period of the finest layer
+	m    []int32   // [session] layer count
+	// uniform: every session shares one tick period (equal layer counts
+	// — the common case, and all of the committed benchmarks), so the
+	// calendars advance in lockstep and the "earliest instant, lowest
+	// index" rule is exactly round-robin order: sessions cursor..S-1 sit
+	// at time T and 0..cursor-1 at T+dt. Tracking the cursor replaces the
+	// O(sessions) argmin scan per tick — the dominant cost on hub-heavy
+	// multi-session topologies — with O(1). Mixed-period session sets
+	// fall back to the scan.
+	uniform bool
+	cursor  int
+}
+
+// exponential returns layering.Exponential(m), the scheme every session
+// transmits, from a cache of MaxLayers+1 entries keyed by layer count
+// (the zero Scheme has NumLayers 0, so presence is the value itself —
+// no map on the construction path).
+func exponential(cache []layering.Scheme, m int) layering.Scheme {
+	if cache[m].NumLayers() == 0 {
+		cache[m] = layering.Exponential(m)
+	}
+	return cache[m]
+}
+
+// newCalendar lays out the calendar of sessions with the given layer
+// counts, which it keeps; schemes is an exponential cache. Each tick
+// period is the period of the session scheme's finest layer.
+func newCalendar(layers []int32, schemes []layering.Scheme) calendar {
+	n := len(layers)
+	f := make([]float64, 2*n)
+	c := calendar{at: f[:n:n], dt: f[n:], tick: make([]uint64, n), m: layers, uniform: n > 0}
+	for i, m := range layers {
+		c.dt[i] = 1 / exponential(schemes, int(m)).LayerRate(int(m)-1)
+		c.at[i] = c.dt[i]
+		c.uniform = c.uniform && c.dt[i] == c.dt[0]
+	}
+	return c
+}
+
+// next returns the session holding the earliest pending transmission —
+// the lowest index among ties — and its instant. The calendar must hold
+// at least one session.
+func (c *calendar) next() (int, float64) {
+	if c.uniform {
+		return c.cursor, c.at[c.cursor]
+	}
+	si, ts := 0, c.at[0]
+	for i, t := range c.at {
+		if t < ts {
+			si, ts = i, t
 		}
-		// Scheduled events run first: anything strictly earlier than the
-		// next transmission, plus same-instant packet events (delayed
-		// deliveries, churn). Signals yield to same-instant packets,
-		// reproducing sim's strict-inequality signal clock.
-		for len(e.q.a) > 0 {
-			top := &e.q.a[0]
-			if top.time > ts || (top.time == ts && top.key >= prioSignal) {
-				break
-			}
-			ev := e.q.pop()
-			if e.probe != nil {
-				e.probe.advanceTime(e, ev.time)
-			}
-			e.now = ev.time
-			e.pops++
-			switch ev.kind {
-			case evForward:
-				e.popForward++
-				e.dispatch(&e.sess[ev.sess], ev.layer, ev.node, e.now)
-			case evChurn:
-				e.popChurn++
-				e.applyChurn(e.churn[ev.node])
-			case evSignal:
-				e.popSignal++
-				e.signal()
-			}
+	}
+	return si, ts
+}
+
+// fire advances session si past its pending tick and returns the lowest
+// layer due at it: layers lo..m-1 transmit, layer-ascending.
+func (c *calendar) fire(si int) (lo int32) {
+	n := c.tick[si] + 1
+	lo = c.m[si] - 1 - int32(bits.TrailingZeros64(n))
+	if lo <= 1 {
+		lo = 0 // layer 0 shares layer 1's period
+	}
+	c.tick[si] = n
+	c.at[si] = float64(n+1) * c.dt[si]
+	if c.uniform {
+		if c.cursor++; c.cursor == len(c.at) {
+			c.cursor = 0
 		}
-		// Fire every layer due at this tick — the contiguous range given
-		// by the tick's trailing zeros — layer-ascending, stopping
-		// exactly at the packet budget.
+	}
+	return lo
+}
+
+// run is the event loop. It fires calendar ticks until the engine has
+// sent budget packets — stopping exactly at the budget, even midway
+// through a tick's due-layer range — applying before each tick the
+// scheduled events that precede it. It then applies the events that
+// precede the horizon, the instant of the run's final transmission, and
+// parks the clock there, so time-integrated outputs all integrate over
+// the same duration. A horizon below the engine's own last tick (Run
+// passes 0) means that tick: the engine owns every session. Group
+// engines get the global instant from groupBudgets, and partitioned
+// engines route transmissions through forwardSubtree.
+func (e *engine) run(budget int, horizon float64) {
+	for e.sent < budget {
+		si, ts := e.cal.next()
+		e.drainUntil(ts)
 		if e.probe != nil {
 			e.probe.advanceTime(e, ts)
 		}
 		e.now = ts
 		s := &e.sess[si]
-		n := s.tick + 1
-		lo := s.m - 1 - int32(bits.TrailingZeros64(n))
-		if lo <= 1 {
-			lo = 0 // layer 0 shares layer 1's period
-		}
-		for l := lo; l < s.m && e.sent < cfg.Packets; l++ {
+		e.ticksFired++
+		for l := e.cal.fire(si); l < s.m && e.sent < budget; l++ {
 			e.sent++
 			if s.linger != nil {
 				// Linger sessions walk even when nothing subscribes: a
 				// pending leave still meters crossings on the root edges.
 				e.forwardLinger(s, l, 0, ts)
 			} else if s.subMax[0] > l {
-				e.forward(s, l, 0, ts)
+				if e.part != nil {
+					e.forwardSubtree(s, l)
+				} else {
+					e.forward(s, l, 0, ts)
+				}
 			}
 			if e.probe != nil {
 				e.probe.advancePackets(e, ts)
 			}
 		}
-		s.tick = n
-		e.txCal[si] = float64(n+1) * s.tickDt
-		e.ticksFired++
-		if e.calUniform {
-			if e.calCursor++; e.calCursor == len(e.sess) {
-				e.calCursor = 0
-			}
+	}
+	horizon = max(horizon, e.now)
+	e.drainUntil(horizon)
+	// Flush every window boundary strictly below the horizon, so group
+	// rings line up sample-for-sample regardless of when each group's
+	// own activity stopped; the result fold's finish adds the tail.
+	if e.probe != nil {
+		e.probe.advanceTime(e, horizon)
+	}
+	e.now = horizon
+}
+
+// drainUntil applies, in queue order, every scheduled event that
+// precedes a transmission at t: anything strictly earlier, plus
+// same-instant packet events (delayed deliveries, churn). Signals yield
+// to same-instant packets, reproducing sim's strict-inequality signal
+// clock. Everything later stays queued.
+func (e *engine) drainUntil(t float64) {
+	for len(e.q.a) > 0 {
+		top := &e.q.a[0]
+		if top.time > t || (top.time == t && top.key >= prioSignal) {
+			return
+		}
+		ev := e.q.pop()
+		if e.probe != nil {
+			e.probe.advanceTime(e, ev.time)
+		}
+		e.now = ev.time
+		e.pops++
+		switch ev.kind {
+		case evForward:
+			e.popForward++
+			e.dispatch(&e.sess[ev.sess], ev.layer, ev.node, e.now)
+		case evChurn:
+			e.popChurn++
+			e.applyChurn(e.churn[ev.node])
+		case evSignal:
+			e.popSignal++
+			e.signal()
 		}
 	}
-	return e.result(), nil
 }
 
 // signal drives the global Coordinated join clock: one nested signal
@@ -1966,81 +2005,93 @@ func (e *engine) signal() {
 	e.push(event{time: e.now + e.signalPeriod, key: prioSignal, kind: evSignal})
 }
 
-func (e *engine) result() *Result {
-	if e.probe != nil {
-		e.probe.finish(e)
-	}
+// result folds finished engines into the Result, in global session
+// order. Every engine's clock is parked at the shared horizon, which is
+// the run's Duration; an engine's nil gsess maps its sessions to
+// themselves.
+func result(cfg Config, engines []*engine) *Result {
+	net := cfg.Network
+	S := net.NumSessions()
+	horizon := engines[0].now
 	res := &Result{
-		ReceiverRates:   make([][]float64, len(e.sess)),
-		ReceiverPackets: make([][]int, len(e.sess)),
-		FinalLevels:     make([][]int, len(e.sess)),
-		MeanLevels:      make([]float64, len(e.sess)),
-		PacketsSent:     e.sent,
-		Duration:        e.now,
-		Events:          int64(e.sent) + e.pops,
+		ReceiverRates:   make([][]float64, S),
+		ReceiverPackets: make([][]int, S),
+		FinalLevels:     make([][]int, S),
+		MeanLevels:      make([]float64, S),
+		Duration:        horizon,
 	}
-	if e.probe != nil {
-		res.Probe = e.probe.series(e)
+	if cfg.Probe != nil {
+		for _, e := range engines {
+			e.probe.finish(e)
+		}
+		res.Probe = probeSeries(cfg, engines)
 	}
 	// Per-receiver outputs are subslices of three flat backings (the
 	// [][] shape is API; the allocation count need not scale with
 	// sessions).
 	totR := 0
-	for i := range e.sess {
-		totR += len(e.sess[i].received)
+	for i := 0; i < S; i++ {
+		totR += net.Session(i).NumReceivers()
 	}
 	rateBuf := make([]float64, totR)
 	pktBuf := make([]int, totR)
 	lvlBuf := make([]int, totR)
-	for i := range e.sess {
-		s := &e.sess[i]
-		for _, n := range s.crossed {
-			res.Events += n
-		}
-		if e.now > 0 && len(s.received) > 0 {
-			levelInt := e.sessionLevelIntegral(s, e.now)
-			res.MeanLevels[i] = levelInt / e.now / float64(len(s.received))
-		}
-		nR := len(s.received)
+	for i := 0; i < S; i++ {
+		nR := net.Session(i).NumReceivers()
 		res.ReceiverRates[i], rateBuf = rateBuf[:nR:nR], rateBuf[nR:]
 		res.ReceiverPackets[i], pktBuf = pktBuf[:nR:nR], pktBuf[nR:]
 		res.FinalLevels[i], lvlBuf = lvlBuf[:nR:nR], lvlBuf[nR:]
-		for k, n := range s.received {
-			res.ReceiverPackets[i][k] = n
-			res.FinalLevels[i][k] = int(s.levels[k])
-			res.Events += int64(n)
-			if e.now > 0 {
-				res.ReceiverRates[i][k] = float64(n) / e.now
-			}
-		}
 	}
-	// Fold edge-indexed counters back to (session, link) in flat
-	// session-major slabs: each session's tree crosses a link through
-	// at most one edge.
-	nL := e.net.NumLinks()
-	linkCrossed := make([]int, len(e.sess)*nL)
-	linkDropped := make([]int, len(e.sess)*nL)
-	linkFluid := make([]float64, len(e.sess)*nL)
-	for i := range e.sess {
-		s := &e.sess[i]
-		base := i * nL
-		for eid := range s.hot {
-			j := base + int(s.hot[eid].link)
-			linkCrossed[j] = int(s.crossed[eid])
-			linkDropped[j] = int(s.cold[eid].drops)
-			if e.now > 0 {
-				fluid := s.fluidInt[eid] + s.cum[s.edgeSub[eid]]*(e.now-s.fluidT[eid])
-				linkFluid[j] = fluid / e.now
+	// Edge-indexed counters fold back to (session, link) in flat
+	// session-major slabs: each session's tree crosses a link through at
+	// most one edge.
+	nL := net.NumLinks()
+	linkCrossed := make([]int, S*nL)
+	linkDropped := make([]int, S*nL)
+	linkFluid := make([]float64, S*nL)
+	for _, e := range engines {
+		res.PacketsSent += e.sent
+		res.Events += int64(e.sent) + e.pops
+		for li := range e.sess {
+			s := &e.sess[li]
+			gi := li
+			if e.gsess != nil {
+				gi = e.gsess[li]
+			}
+			for _, n := range s.crossed {
+				res.Events += n
+			}
+			if horizon > 0 && len(s.received) > 0 {
+				levelInt := e.sessionLevelIntegral(s, horizon)
+				res.MeanLevels[gi] = levelInt / horizon / float64(len(s.received))
+			}
+			for k, n := range s.received {
+				res.ReceiverPackets[gi][k] = n
+				res.FinalLevels[gi][k] = int(s.levels[k])
+				res.Events += int64(n)
+				if horizon > 0 {
+					res.ReceiverRates[gi][k] = float64(n) / horizon
+				}
+			}
+			base := gi * nL
+			for eid := range s.hot {
+				j := base + int(s.hot[eid].link)
+				linkCrossed[j] = int(s.crossed[eid])
+				linkDropped[j] = int(s.cold[eid].drops)
+				if horizon > 0 {
+					fluid := s.fluidInt[eid] + s.cum[s.edgeSub[eid]]*(horizon-s.fluidT[eid])
+					linkFluid[j] = fluid / horizon
+				}
 			}
 		}
 	}
 	total := 0
 	for j := 0; j < nL; j++ {
-		total += len(e.net.OnLink(j))
+		total += len(net.OnLink(j))
 	}
 	res.Links = make([]LinkStats, 0, total)
 	for j := 0; j < nL; j++ {
-		for _, sr := range e.net.OnLink(j) {
+		for _, sr := range net.OnLink(j) {
 			at := sr.Session*nL + j
 			ls := LinkStats{
 				Link: j, Session: sr.Session,
@@ -2049,8 +2100,8 @@ func (e *engine) result() *Result {
 				FluidRate:           linkFluid[at],
 				DownstreamReceivers: len(sr.Receivers),
 			}
-			if e.now > 0 {
-				ls.Rate = float64(ls.Crossed) / e.now
+			if horizon > 0 {
+				ls.Rate = float64(ls.Crossed) / horizon
 				best := 0.0
 				for _, k := range sr.Receivers {
 					if r := res.ReceiverRates[sr.Session][k]; r > best {
@@ -2064,7 +2115,7 @@ func (e *engine) result() *Result {
 			res.Links = append(res.Links, ls)
 		}
 	}
-	e.flushStats(res)
+	flushStats(cfg.Stats, engines, res)
 	return res
 }
 

@@ -90,22 +90,18 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 			groupSize[gp]++
 		}
 	}
-	var cutSet map[int]bool
-	if len(cfg.CutLinks) > 0 {
-		cutSet = make(map[int]bool, len(cfg.CutLinks))
-		for _, j := range cfg.CutLinks {
-			cutSet[j] = true
-		}
-	}
+	cut := cutSetOf(cfg)
 
 	// Per-session slabs: replay the discovery walk with an epoch-stamped
 	// visited array to size each tree (distinct nodes reached by the
 	// session's paths) without building it. Sessions that run alone in
-	// their shard group additionally replay newTreePartition's frontier
-	// policy — same eligibility rules, same guards — so the plan carries
-	// the partition slabs and the subtree counts the engines will build.
+	// their shard group also record the tree in discovery order — parent
+	// before child, like the engine's DFS numbering — and apply the
+	// engine's eligibility rules and chooseFrontier to it, so the plan
+	// carries the partition slabs and the subtree counts the engines
+	// will build.
 	visited := make([]int32, nn)
-	var cnt, visitB, rootMark, nodesCnt []int32
+	var local, parent, link, recv []int32
 	var partFixed, partScratch int64
 	maxEdges, maxTreeN, totR := 0, 0, 0
 	for i := 0; i < S; i++ {
@@ -113,14 +109,14 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		L := cfg.Sessions[i].Layers
 		epoch := int32(i + 1)
 		doPart := groupOf != nil && groupSize[groupOf[i]] == 1 && cfg.LeaveLatency == 0
-		if doPart && cnt == nil {
-			cnt = make([]int32, nn)
-			visitB = make([]int32, nn)
-			rootMark = make([]int32, nn)
-			nodesCnt = make([]int32, nn)
+		if doPart && local == nil {
+			local = make([]int32, nn)
 		}
 		if doPart {
-			cnt[ns.Sender] = 0
+			local[ns.Sender] = 0
+			parent = append(parent[:0], -1)
+			link = append(link[:0], -1)
+			recv = append(recv[:0], 0)
 		}
 		hasDT := false
 		visited[ns.Sender] = epoch
@@ -134,97 +130,38 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 				nb := g.Other(j, cur)
 				if visited[nb] != epoch {
 					visited[nb] = epoch
-					if doPart {
-						cnt[nb] = 0
-					}
 					nE++
-				}
-				if doPart {
-					cnt[nb]++
-					if cfg.Links[j].Kind == DropTail {
-						hasDT = true
+					if doPart {
+						local[nb] = int32(len(parent))
+						parent = append(parent, local[cur])
+						link = append(link, int32(j))
+						recv = append(recv, 0)
 					}
+				}
+				if doPart && cfg.Links != nil && cfg.Links[j].Kind == DropTail {
+					hasDT = true
 				}
 				cur = nb
+			}
+			if doPart {
+				recv[local[cur]]++
 			}
 		}
 		treeN := 1 + nE
 		nR := ns.NumReceivers()
 		totR += nR
-		if doPart && !hasDT && treeN >= 3 && nR > 0 &&
-			(cutSet != nil || nR >= autoCutMinReceivers) {
-			// Frontier replay: walk each receiver path once more, cutting
-			// at the first frontier edge (explicit membership, or the
-			// auto threshold on the receiver counts gathered above —
-			// first-cut-wins is exactly newTreePartition's outermost
-			// collapse). Distinct roots give the subtree count, stamped
-			// node discovery the per-subtree sizes for the DFS stacks.
-			cnt[ns.Sender] = int32(nR)
-			c := int32(nR / autoCutTargetSubtrees)
-			if c < 1 {
-				c = 1
-			}
-			numSub, cutRecv := 0, 0
-			var roots []int32
-			visitB[ns.Sender] = epoch
-			for k := range ns.Receivers {
-				cur := ns.Sender
-				root := int32(-1)
-				for _, j := range net.Path(i, k) {
-					nb := g.Other(j, cur)
-					if root < 0 {
-						isCut := false
-						if cutSet != nil {
-							isCut = cutSet[j]
-						} else {
-							isCut = cnt[nb] <= c && cnt[cur] > c
-						}
-						if isCut {
-							root = int32(nb)
-							if rootMark[nb] != epoch {
-								rootMark[nb] = epoch
-								nodesCnt[nb] = 0
-								numSub++
-								cutRecv += int(cnt[nb])
-								roots = append(roots, int32(nb))
-							}
-						}
-					}
-					if visitB[nb] != epoch {
-						visitB[nb] = epoch
-						if root >= 0 {
-							nodesCnt[root]++
-						}
-					}
-					cur = nb
-				}
-			}
-			ok := numSub >= 2
-			if cutSet == nil && ok {
-				ok = cutRecv*2 >= nR && numSub*autoCutMinAvgReceivers <= cutRecv
-			}
-			if ok {
-				maxStack := 0
-				for _, r := range roots {
-					if n := int(nodesCnt[r]) - 1; n > maxStack {
-						maxStack = n
-					}
-				}
-				W := cfg.Shards / p.Groups
-				if W < 1 {
-					W = 1
-				}
-				if W > numSub {
-					W = numSub
-				}
+		if doPart && !hasDT {
+			if f := chooseFrontier(parent, link, recv, cut); f != nil {
+				numSub := len(f.roots)
+				W := min(max(cfg.Shards/p.Groups, 1), numSub)
 				p.Subtrees += numSub
 				p.CutFrontier += numSub
 				partFixed += 4*int64(treeN) + // subOfNode
 					// subRoot/cutEid/prevRootMax, the per-subtree level
 					// rows, arrivals, and the rng slice + PCG states.
 					int64(numSub)*(12+4*int64(L+1)+24+4+8+64) +
-					int64(W)*(8+4*int64(maxStack)) // per-worker DFS stacks
-				partScratch += 8 * int64(treeN) // counts + sizes
+					int64(W)*(8+4*int64(f.maxEdges)) // per-worker DFS stacks
+				partScratch += 8 * int64(treeN) // link + recv
 			}
 		}
 		rowShift := 1
@@ -234,6 +171,9 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		rowLen := treeN << rowShift
 		n32 := 3*nR + (L + 1) + 3*treeN + 2*(treeN+1) + 2*rowLen + 4*nE + 1
 		n64 := nR + 2*nE
+		// Floats: cum (L+1), the per-edge fluid accounting (2nE), and L
+		// words covering the session's calendar row (tick counter, tick
+		// period, layer count).
 		nf := 2*L + 1 + 2*nE
 		if cfg.LeaveLatency > 0 {
 			nf += nE << rowShift
@@ -282,7 +222,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 		perEngineLinks += 24 * int64(nL) // slice headers aliasing the specs
 	}
 	p.FixedBytes = perEngineLinks*int64(p.Groups) +
-		8*int64(S) + // txCal (partitioned across groups)
+		8*int64(S) + // calendar instants (partitioned across groups)
 		szEvent*int64(len(cfg.Churn)+1+64+int(p.Groups)*64) + // event arenas
 		4*int64(maxEdges)*int64(p.Groups) + // fwdStack per engine (worst case)
 		partFixed // subtree partitions of single-session groups
@@ -291,7 +231,7 @@ func PlanMemory(cfg Config) (*MemoryPlan, error) {
 	// session's child lists and pre-order worklists; sharded runs build
 	// engines sequentially, so one copy is live at a time.
 	p.ScratchBytes = int64(nn)*(4+4+4+24) + int64(maxEdges)*int64(unsafe.Sizeof(buildEdge{})) + 16*int64(maxTreeN) +
-		partScratch // newTreePartition's counts + sizes accumulators
+		partScratch // newTreePartition's link and receiver-count arrays
 
 	// Result fold: per-receiver outputs, the dense (session, link)
 	// scatter rows, and the LinkStats backing.

@@ -111,30 +111,82 @@ func TestShardInvarianceAcrossSeeds(t *testing.T) {
 	}
 }
 
+// statsSnapshot reads every EngineStats instrument into one comparable
+// value.
+type statsSnapshot struct {
+	Runs, Transmissions, CalendarTicks        int64
+	ForwardEvents, ChurnEvents, SignalEvents  int64
+	Crossings, Drops, Deliveries, Events      int64
+	HeapHighWater, ProbeWindows, ProbeDropped int64
+	VirtualTime                               float64
+}
+
+func snapshotStats(st *EngineStats) statsSnapshot {
+	return statsSnapshot{
+		Runs: st.Runs.Load(), Transmissions: st.Transmissions.Load(), CalendarTicks: st.CalendarTicks.Load(),
+		ForwardEvents: st.ForwardEvents.Load(), ChurnEvents: st.ChurnEvents.Load(), SignalEvents: st.SignalEvents.Load(),
+		Crossings: st.Crossings.Load(), Drops: st.Drops.Load(), Deliveries: st.Deliveries.Load(), Events: st.Events.Load(),
+		HeapHighWater: st.HeapHighWater.Load(), ProbeWindows: st.ProbeWindows.Load(), ProbeDropped: st.ProbeDropped.Load(),
+		VirtualTime: st.VirtualTime.Load(),
+	}
+}
+
 // TestSingleGroupShardedMatchesSequential: when the whole topology is
 // one link-connectivity component (a shared backbone couples every
 // session), the sharded path runs the one group with the base seed and
-// must reproduce the sequential engine's Result exactly — the sharded
-// runner costs nothing in reproducibility when there is nothing to
-// shard.
+// must reproduce the Shards == 0 Result and EngineStats exactly — the
+// sharded runner costs nothing in reproducibility when there is nothing
+// to shard. The rows cover every event family the loop drains: delayed
+// DropTail deliveries, churn with leave latency, the signal clock, and
+// both probe window kinds.
 func TestSingleGroupShardedMatchesSequential(t *testing.T) {
-	cfg, _, err := Mesh(3, 5, LinkSpec{Kind: Capacity, Capacity: 24}, 0.01,
-		SessionConfig{Protocol: protocol.Coordinated, Layers: 8}, 30000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 3} {
-		cfg.Shards = shards
-		got, err := Run(cfg)
+	mesh := func(backbone LinkSpec, p protocol.Kind) Config {
+		cfg, _, err := Mesh(3, 5, backbone, 0.01, SessionConfig{Protocol: p, Layers: 8}, 30000, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("single-group Shards=%d diverged from the sequential engine", shards)
+		return cfg
+	}
+	capacity := LinkSpec{Kind: Capacity, Capacity: 24}
+	dropTail := mesh(LinkSpec{Kind: DropTail, Capacity: 24, Buffer: 3}, protocol.Deterministic)
+	linger := mesh(LinkSpec{Kind: Bernoulli, Loss: 0.02}, protocol.Uncoordinated)
+	linger.LeaveLatency = 0.5
+	linger.Churn = UniformChurn(linger.Network, 2, 3, 60)
+	timeProbe := mesh(capacity, protocol.Coordinated)
+	timeProbe.Probe = &ProbeConfig{Window: 8, MaxSamples: 4} // the ring wraps
+	pktProbe := mesh(capacity, protocol.Coordinated)
+	pktProbe.Probe = &ProbeConfig{PacketWindow: 1000}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"capacity", mesh(capacity, protocol.Coordinated)},
+		{"droptail-nodelay", dropTail},
+		{"bernoulli-linger-churn", linger},
+		{"time-window-probe", timeProbe},
+		{"packet-window-probe", pktProbe},
+	} {
+		cfg := tc.cfg
+		var want *Result
+		var wantStats statsSnapshot
+		for _, shards := range []int{0, 1, 3} {
+			cfg.Shards = shards
+			cfg.Stats = &EngineStats{}
+			got, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			st := snapshotStats(cfg.Stats)
+			if shards == 0 {
+				want, wantStats = got, st
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: single-group Shards=%d diverged from Shards=0", tc.name, shards)
+			}
+			if st != wantStats {
+				t.Fatalf("%s: Shards=%d stats %+v, Shards=0 stats %+v", tc.name, shards, st, wantStats)
+			}
 		}
 	}
 }
@@ -158,6 +210,39 @@ func TestShardedStatsMerge(t *testing.T) {
 	}
 	if cfg.Stats.VirtualTime.Load() != res.Duration {
 		t.Fatalf("virtual time %v != duration %v", cfg.Stats.VirtualTime.Load(), res.Duration)
+	}
+}
+
+// TestShardedProbeStats: probe windows are counted once per logical
+// run — not once per shard group, and not dropped by the sharded path —
+// and the ring-overwrite count published to EngineStats equals the
+// Result's own.
+func TestShardedProbeStats(t *testing.T) {
+	for _, probe := range []*ProbeConfig{{Window: 16}, {Window: 16, MaxSamples: 3}} {
+		var windows int64
+		for _, shards := range []int{0, 3} {
+			cfg := disjointCfg(t, 8, 15000, 3)
+			cfg.Probe = probe
+			cfg.Shards = shards
+			cfg.Stats = &EngineStats{}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := res.Probe
+			got := cfg.Stats.ProbeWindows.Load()
+			if want := int64(ps.NumSamples() + ps.Dropped); got != want || got == 0 {
+				t.Fatalf("%+v Shards=%d: ProbeWindows = %d, want %d", probe, shards, got, want)
+			}
+			if got := cfg.Stats.ProbeDropped.Load(); got != int64(ps.Dropped) {
+				t.Fatalf("%+v Shards=%d: ProbeDropped = %d, Result.Probe.Dropped = %d", probe, shards, got, ps.Dropped)
+			}
+			if shards == 0 {
+				windows = got
+			} else if got != windows {
+				t.Fatalf("%+v: Shards=%d counted %d windows, Shards=0 counted %d", probe, shards, got, windows)
+			}
+		}
 	}
 }
 

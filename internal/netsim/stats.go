@@ -69,41 +69,50 @@ func (st *EngineStats) MustRegister(reg *obs.Registry) {
 	reg.MustRegister("netsim_virtual_time", "simulated time units across runs", &st.VirtualTime)
 }
 
-// flushStats publishes one finished run into cfg.Stats. Called once
-// from result(); every quantity is either an engine counter that was
-// maintained anyway or a sum the result fold already walks.
-func (e *engine) flushStats(res *Result) {
-	st := e.cfg.Stats
+// flushStats publishes one finished logical run into st: one Runs
+// increment, counter sums over the run's engines, the probe windows
+// once (every engine flushed the same window grid), and the run's
+// duration once. Every quantity is an engine counter that was
+// maintained anyway or a sum the result fold already produced.
+func flushStats(st *EngineStats, engines []*engine, res *Result) {
 	if st == nil {
 		return
 	}
 	st.Runs.Inc()
-	st.Transmissions.Add(int64(e.sent))
-	st.CalendarTicks.Add(e.ticksFired)
-	st.ForwardEvents.Add(e.popForward)
-	st.ChurnEvents.Add(e.popChurn)
-	st.SignalEvents.Add(e.popSignal)
+	var sent, ticks, fwd, churn, sig int64
 	var crossed, drops, delivered int64
-	for i := range e.sess {
-		s := &e.sess[i]
-		for eid := range s.hot {
-			crossed += s.crossed[eid]
-			drops += s.cold[eid].drops
+	heapHW := 0
+	for _, e := range engines {
+		sent += int64(e.sent)
+		ticks += e.ticksFired
+		fwd += e.popForward
+		churn += e.popChurn
+		sig += e.popSignal
+		for i := range e.sess {
+			s := &e.sess[i]
+			for eid := range s.hot {
+				crossed += s.crossed[eid]
+				drops += s.cold[eid].drops
+			}
+			for _, n := range s.received {
+				delivered += int64(n)
+			}
 		}
-		for _, n := range s.received {
-			delivered += int64(n)
-		}
+		heapHW = max(heapHW, e.heapHW)
 	}
+	st.Transmissions.Add(sent)
+	st.CalendarTicks.Add(ticks)
+	st.ForwardEvents.Add(fwd)
+	st.ChurnEvents.Add(churn)
+	st.SignalEvents.Add(sig)
 	st.Crossings.Add(crossed)
 	st.Drops.Add(drops)
 	st.Deliveries.Add(delivered)
 	st.Events.Add(res.Events)
-	st.HeapHighWater.SetMax(int64(e.heapHW))
-	if e.probe != nil {
-		st.ProbeWindows.Add(int64(e.probe.count))
-		if dropped := e.probe.count - e.probe.cap; dropped > 0 {
-			st.ProbeDropped.Add(int64(dropped))
-		}
+	st.HeapHighWater.SetMax(int64(heapHW))
+	if ps := res.Probe; ps != nil {
+		st.ProbeWindows.Add(int64(engines[0].probe.count))
+		st.ProbeDropped.Add(int64(ps.Dropped))
 	}
-	st.VirtualTime.Add(e.now)
+	st.VirtualTime.Add(res.Duration)
 }

@@ -56,8 +56,15 @@ import (
 // pure function of the Config — every Shards >= 1 yields the identical
 // Result, and GOMAXPROCS/worker count never leak into output. Like
 // multi-group sharding, the decomposed run is a different (equally
-// valid) realization than the Shards == 0 sequential engine: subtree
-// streams replace slices of the sequential stream.
+// valid) realization than the Shards == 0 run: subtree streams replace
+// slices of the engine's one stream.
+//
+// The partitioned engine is an ordinary engine otherwise: it runs the
+// shared event loop (engine.run routes its transmissions through
+// forwardSubtree) and folds through the shared result fold. The
+// frontier itself is one policy, chooseFrontier — a pure function of
+// the tree — which PlanMemory applies to the same tree to plan the
+// partition before any engine exists.
 //
 // Between transmissions everything is sequential, so churn, signal
 // delivery, and probe flushes run on globally consistent state with the
@@ -92,8 +99,8 @@ const (
 
 // treePartition is the engine-side decomposition of one session's tree.
 // Built only for single-session shard groups (see newTreePartition for
-// the eligibility rules); nil on every other engine, costing the
-// sequential paths one predictable nil check at non-hot call sites.
+// the eligibility rules); nil on every other engine, costing them one
+// predictable nil check at non-hot call sites.
 type treePartition struct {
 	numSub int
 	// subRoot[j] is subtree j's root node (the cut edge's child) and
@@ -141,16 +148,100 @@ type treePartition struct {
 	spawned  bool
 }
 
+// frontier is a subtree-sharding cut of one session tree.
+type frontier struct {
+	// roots lists the subtree roots (each the child end of one cut edge)
+	// in node order; subOf maps every node to its owning subtree, -1 for
+	// the core prefix.
+	roots []int32
+	subOf []int32
+	// maxEdges is the largest subtree's edge count: the bound on one
+	// subtree walk's DFS stack.
+	maxEdges int
+}
+
+// cutSetOf is Config.CutLinks as a membership set, nil when empty (the
+// auto frontier).
+func cutSetOf(cfg Config) map[int32]bool {
+	if len(cfg.CutLinks) == 0 {
+		return nil
+	}
+	cut := make(map[int32]bool, len(cfg.CutLinks))
+	for _, j := range cfg.CutLinks {
+		cut[int32(j)] = true
+	}
+	return cut
+}
+
+// chooseFrontier is the frontier policy, a pure function of a tree
+// whose nodes are numbered parent before child, node 0 the sender:
+// parent[nd] is nd's parent, link[nd] the graph link entering nd, and
+// recv[nd] the receivers hosted at nd (accumulated in place into
+// subtree receiver counts). A non-nil cut is the explicit Config.CutLinks
+// set, honored as given except that nested cuts collapse into the
+// outermost. A nil cut selects the auto frontier: the maximal nodes
+// holding at most nR/autoCutTargetSubtrees receivers, subject to the
+// quality guards. It returns nil when no frontier of at least two
+// subtrees qualifies. The result depends only on the tree, never on the
+// node numbering, so the engine's DFS order and PlanMemory's
+// path-discovery order agree.
+func chooseFrontier(parent, link, recv []int32, cut map[int32]bool) *frontier {
+	treeN := len(parent)
+	if treeN < 3 {
+		return nil // a single-edge tree has no interior to cut
+	}
+	for nd := treeN - 1; nd > 0; nd-- {
+		recv[parent[nd]] += recv[nd]
+	}
+	nR := int(recv[0])
+	if nR == 0 || cut == nil && nR < autoCutMinReceivers {
+		return nil
+	}
+	c := max(int32(nR/autoCutTargetSubtrees), 1)
+	f := &frontier{subOf: make([]int32, treeN)}
+	f.subOf[0] = -1
+	cutRecv := 0
+	for nd := 1; nd < treeN; nd++ {
+		own := f.subOf[parent[nd]]
+		if own < 0 {
+			// Receiver counts are monotone down the tree, so on the auto
+			// frontier "parent above the threshold" is exactly "no
+			// ancestor is cut".
+			if cut != nil && cut[link[nd]] || cut == nil && recv[nd] <= c && recv[parent[nd]] > c {
+				own = int32(len(f.roots))
+				f.roots = append(f.roots, int32(nd))
+				cutRecv += int(recv[nd])
+			}
+		}
+		f.subOf[nd] = own
+	}
+	numSub := len(f.roots)
+	if numSub < 2 {
+		return nil
+	}
+	if cut == nil && (cutRecv*2 < nR || numSub*autoCutMinAvgReceivers > cutRecv) {
+		return nil
+	}
+	nodes := make([]int, numSub)
+	for _, j := range f.subOf {
+		if j >= 0 {
+			nodes[j]++
+		}
+	}
+	for _, n := range nodes {
+		f.maxEdges = max(f.maxEdges, n-1)
+	}
+	return f
+}
+
 // newTreePartition decides whether — and how — the engine's single
 // session is decomposed, returning nil when subtree sharding does not
 // apply. Eligibility is a pure function of the Config (never of Shards'
 // value beyond being >= 1, and never of worker counts): the tree must
 // carry no DropTail edge (queue state and delayed-delivery events are
 // global), the run must have no leave-latency regime (linger windows
-// couple edges across the frontier), and the frontier must yield at
-// least two subtrees. Explicit Config.CutLinks are honored as given
-// (nested cuts collapse into the outermost); the auto frontier
-// additionally applies the quality guards above.
+// couple edges across the frontier), and chooseFrontier must find a
+// frontier.
 func newTreePartition(e *engine, s *sessState, seed uint64) *treePartition {
 	if e.leaveLatency > 0 {
 		return nil
@@ -161,86 +252,29 @@ func newTreePartition(e *engine, s *sessState, seed uint64) *treePartition {
 		}
 	}
 	treeN := len(s.subMax)
-	nR := len(s.levels)
-	if treeN < 3 || nR == 0 {
-		return nil // a single-edge tree has no interior to cut
-	}
-	// Subtree receiver counts by reverse pre-order accumulation (every
-	// node's parent has a smaller pre-order id).
-	counts := make([]int32, treeN)
+	link := make([]int32, treeN)
+	recv := make([]int32, treeN)
 	for nd := 0; nd < treeN; nd++ {
-		counts[nd] = s.recvStart[nd+1] - s.recvStart[nd]
-	}
-	for nd := int32(treeN - 1); nd > 0; nd-- {
-		counts[s.parent[nd]] += counts[nd]
-	}
-	explicit := len(e.cfg.CutLinks) > 0
-	var isCut func(nd int32) bool
-	if explicit {
-		cut := make(map[int32]bool, len(e.cfg.CutLinks))
-		for _, j := range e.cfg.CutLinks {
-			cut[int32(j)] = true
+		if nd > 0 {
+			link[nd] = s.hot[s.parentEdge[nd]].link
 		}
-		isCut = func(nd int32) bool { return cut[s.hot[s.parentEdge[nd]].link] }
-	} else {
-		if nR < autoCutMinReceivers {
-			return nil
-		}
-		c := int32(nR / autoCutTargetSubtrees)
-		if c < 1 {
-			c = 1
-		}
-		// Maximal nodes with at most c receivers below them: counts are
-		// monotone down the tree, so "parent above the threshold" is
-		// exactly "no ancestor is cut".
-		isCut = func(nd int32) bool { return counts[nd] <= c && counts[s.parent[nd]] > c }
+		recv[nd] = s.recvStart[nd+1] - s.recvStart[nd]
 	}
-	subOfNode := make([]int32, treeN)
-	subOfNode[0] = -1
-	var subRoot, cutEid []int32
-	cutRecv := 0
-	for nd := int32(1); nd < int32(treeN); nd++ {
-		own := subOfNode[s.parent[nd]]
-		if own < 0 && isCut(nd) {
-			own = int32(len(subRoot))
-			subRoot = append(subRoot, nd)
-			cutEid = append(cutEid, s.parentEdge[nd])
-			cutRecv += int(counts[nd])
-		}
-		subOfNode[nd] = own
-	}
-	numSub := len(subRoot)
-	if numSub < 2 {
+	f := chooseFrontier(s.parent, link, recv, cutSetOf(e.cfg))
+	if f == nil {
 		return nil
 	}
-	if !explicit {
-		if cutRecv*2 < nR || numSub*autoCutMinAvgReceivers > cutRecv {
-			return nil
-		}
-	}
-	// Node-count accumulation sizes the per-worker DFS stacks: a subtree
-	// walk holds at most one entry per subtree-interior edge.
-	sizes := make([]int32, treeN)
-	for nd := range sizes {
-		sizes[nd] = 1
-	}
-	for nd := int32(treeN - 1); nd > 0; nd-- {
-		sizes[s.parent[nd]] += sizes[nd]
-	}
-	maxStack := 0
-	for _, r := range subRoot {
-		if n := int(sizes[r]) - 1; n > maxStack {
-			maxStack = n
-		}
-	}
-	for _, eid := range cutEid {
-		s.hot[eid].meta |= metaCut
+	numSub := len(f.roots)
+	cutEid := make([]int32, numSub)
+	for j, r := range f.roots {
+		cutEid[j] = s.parentEdge[r]
+		s.hot[cutEid[j]].meta |= metaCut
 	}
 	p := &treePartition{
 		numSub:      numSub,
-		subRoot:     subRoot,
+		subRoot:     f.roots,
 		cutEid:      cutEid,
-		subOfNode:   subOfNode,
+		subOfNode:   f.subOf,
 		prevRootMax: make([]int32, numSub),
 		rngs:        make([]*rand.Rand, numSub),
 		mrow:        s.m + 1,
@@ -250,9 +284,9 @@ func newTreePartition(e *engine, s *sessState, seed uint64) *treePartition {
 		levelT:      make([]float64, numSub),
 		arrivals:    make([]int32, 0, numSub),
 		workers:     1,
-		maxStack:    maxStack,
+		maxStack:    f.maxEdges,
 	}
-	for j, r := range subRoot {
+	for j, r := range f.roots {
 		// Construction bring-up already ran through the full sequential
 		// machinery; snapshot its outcome as the rollup baseline.
 		p.prevRootMax[j] = s.subMax[r]

@@ -52,9 +52,11 @@
 //   - Packet delivery is batched: one transmission drains the whole
 //     multicast tree in a fused, iterative loop (reusable work stack,
 //     tail-descent into the first eligible child), delivering and
-//     deciding admission inline; sessions whose links are all
-//     Perfect/Bernoulli take a variant with the admission switch
-//     compiled out.
+//     deciding admission inline. One walk serves every tree, run under
+//     a walker naming its RNG stream and level accumulator; the one
+//     specialization is forwardLossOnly, which unpartitioned,
+//     linger-free sessions whose links are all Perfect/Bernoulli take
+//     with the admission switch compiled out.
 //   - Bernoulli drops are realized by geometric inter-drop gap counters
 //     (one RNG draw per drop, not per crossing — the identical law;
 //     links with layer-dependent loss tables fall back to a direct draw
@@ -344,8 +346,8 @@ func (c *Config) validate() error {
 		}
 	}
 	for ci, ev := range c.Churn {
-		if ev.Time < 0 || math.IsInf(ev.Time, 0) || math.IsNaN(ev.Time) {
-			return fmt.Errorf("netsim: churn %d at negative time %v", ci, ev.Time)
+		if !(ev.Time >= 0) || math.IsInf(ev.Time, 0) {
+			return fmt.Errorf("netsim: churn %d at time %v: want a finite non-negative time", ci, ev.Time)
 		}
 		if ev.Session < 0 || ev.Session >= c.Network.NumSessions() {
 			return fmt.Errorf("netsim: churn %d session %d out of range", ci, ev.Session)
@@ -470,7 +472,7 @@ type hotEdge struct {
 	link int32
 	// capIdx indexes engine.capDem: the edge's own link for Capacity
 	// edges, the always-admit sentinel row for every other kind (so
-	// subscription-driven demand updates stay branch-free).
+	// admission never needs a kind test to find its row).
 	capIdx         int32
 	recvLo, recvHi int32 // child's block in recvList
 	edgeLo, edgeHi int32 // child's own block in hot/order
@@ -485,8 +487,8 @@ const (
 	metaKindMask uint32 = 0x7
 	metaWide     uint32 = 1 << 3
 	// metaCut marks a subtree-sharding cut edge (see subtree.go): the
-	// core walk fixes its admission outcome but never descends through
-	// it — the subtree below runs in the parallel fan-out phase.
+	// walk fixes its admission outcome but never descends through it —
+	// the subtree below runs in the parallel fan-out phase.
 	metaCut uint32 = 1 << 4
 )
 
@@ -622,9 +624,8 @@ type sessState struct {
 
 	// linger[(eid<<rowShift)+l] is the instant until which edge eid
 	// keeps carrying layer l after its subtree abandoned it (nil unless
-	// Config.LeaveLatency > 0). Sessions with linger enabled route
-	// through forwardLinger, which checks these rows for unsubscribed
-	// edges.
+	// Config.LeaveLatency > 0). The walk checks these rows for the
+	// unsubscribed children of every node it expands.
 	linger []float64
 
 	subMax []int32 // [node] max contribution level in the subtree
@@ -640,13 +641,11 @@ type sessState struct {
 	// and chain nodes): their maximum IS that contribution, so level
 	// propagation skips the counting machinery there.
 	solo []bool
-	// lossOnly marks trees carrying only instant loss links, routed to
-	// the specialized forwardLossOnly walk; capOnly marks trees of
-	// Perfect/Capacity links only (the irregular-topology benchmark
-	// shape), routed to forwardCapOnly. Mutually exclusive: a pure
-	// Perfect tree counts as lossOnly.
+	// lossOnly marks unpartitioned, linger-free trees carrying only
+	// Perfect/Bernoulli links: their transmissions take forwardLossOnly,
+	// the walk with the admission switch compiled out. Every other tree
+	// takes the general walk.
 	lossOnly bool
-	capOnly  bool
 
 	// downRecv CSR: downRecv[downStart[eid]:downStart[eid+1]] lists the
 	// receivers downstream of edge eid in DFS order — the congestion
@@ -714,13 +713,11 @@ type engine struct {
 	// The slice is dense over the Capacity-kind links only (hotEdge.capIdx
 	// carries the remapped row index), sized numCapacityLinks+1: the last
 	// row is the always-admit sentinel (capacity +Inf) that non-Capacity
-	// edges point their capIdx at. The demand deltas the subscription
-	// machinery blindly adds to the sentinel are write-only (nothing ever
-	// admits against infinite capacity), which keeps applyLevelChange
-	// branch-free. Demand maintenance is skipped entirely (trackDemand
-	// false) when no link is capacity-coupled, since nothing would read
-	// it. Every engine owns its rows outright, so sharded group engines
-	// never share a sentinel cache line.
+	// edges point their capIdx at. Demand maintenance never writes the
+	// sentinel (nothing admits against infinite capacity, and concurrent
+	// subtree walkers would share it), and is skipped entirely
+	// (trackDemand false) when no link is capacity-coupled, since nothing
+	// would read it. Every engine owns its rows outright.
 	capDem      []capDemand
 	capSentinel int32
 	trackDemand bool
@@ -732,7 +729,8 @@ type engine struct {
 
 	q   eventQueue
 	seq uint64
-	// fwdStack is forward's reusable DFS work stack of edge ids.
+	// fwdStack is the sequential walker's reusable DFS work stack of
+	// edge ids.
 	fwdStack []int32
 	// probe is the streaming observation state (nil when off); all its
 	// buffers are preallocated, so the hot path pays one nil check per
@@ -1040,21 +1038,11 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 			s.hot[eid].edgeLo = s.edgeStart[child]
 			s.hot[eid].edgeHi = s.edgeStart[child+1]
 		}
-		s.lossOnly, s.capOnly = true, true
+		s.lossOnly = s.linger == nil
 		for eid := range s.hot {
-			switch int8(s.hot[eid].meta & metaKindMask) {
-			case ekAlways:
-			case ekBernoulli:
-				s.capOnly = false
-			case ekCapacity:
+			if k := int8(s.hot[eid].meta & metaKindMask); k != ekAlways && k != ekBernoulli {
 				s.lossOnly = false
-			default: // ekLayerLoss, ekDropTail: generic walk only
-				s.lossOnly, s.capOnly = false, false
 			}
-		}
-		if s.lossOnly {
-			// A pure-Perfect tree takes the (cheaper) loss walk.
-			s.capOnly = false
 		}
 		for nd := 0; nd < treeN; nd++ {
 			s.wide[nd] = s.edgeStart[nd+1]-s.edgeStart[nd] > wideFanout
@@ -1094,8 +1082,8 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 		// machinery the run uses (joins bubble up, order buckets and
 		// link demand update as a side effect).
 		for k := range s.levels {
-			e.applyLevelChange(s, k, 1)
-			e.armReceiver(s, k, 1)
+			e.applyLevelChange(s, e.seqWalker(), k, 1)
+			e.armReceiver(s, e.seqWalker(), k, 1)
 		}
 		if nEdges > maxEdges {
 			maxEdges = nEdges
@@ -1132,7 +1120,9 @@ func newEngineFor(cfg Config, sessIDs []int, churn []ChurnEvent, seed uint64) (*
 	// a single session. Eligibility and the frontier are
 	// pure functions of the Config, never of Shards' value or core count.
 	if cfg.Shards > 0 && sessIDs != nil && len(e.sess) == 1 {
-		e.part = newTreePartition(e, &e.sess[0], seed)
+		if e.part = newTreePartition(e, &e.sess[0], seed); e.part != nil {
+			e.sess[0].lossOnly = false
+		}
 	}
 	return e, nil
 }
@@ -1146,29 +1136,55 @@ func (e *engine) push(ev event) {
 	}
 }
 
-// applyLevelChange records receiver k's new subscription level and
-// propagates the contribution change up the session tree: per ancestor
-// it is one counting-bucket bump; propagation stops at the first node
-// whose maximum does not move. Nodes whose maximum does move are
-// re-bucketed in their parent's child ordering and their parent link's
-// fluid demand is adjusted by the cumulative-rate delta.
-func (e *engine) applyLevelChange(s *sessState, k int, nl int32) {
+// walker names the RNG stream a packet walk draws from and the level
+// accumulator its receivers' level changes land in. The sequential
+// walker (sub < 0, see seqWalker) draws from the engine's own stream,
+// books levels in the sessState scalars and propagates level changes to
+// the session root. A subtree walker (sub = j, partitioned engines
+// only) draws from subtree j's private stream, books levels in the
+// partition's row j and stops propagation at the subtree root, so
+// walkers of distinct subtrees can run concurrently.
+type walker struct {
+	rng *rand.Rand
+	sub int
+}
+
+// seqWalker is the engine's sequential walker: transmissions on
+// unpartitioned trees, the core phase, DropTail continuations, churn,
+// signals and construction all run under it.
+func (e *engine) seqWalker() walker { return walker{e.rng, -1} }
+
+// applyLevelChange records receiver k's new subscription level in w's
+// level accumulator and propagates the contribution change up the
+// session tree (see propagateFrom).
+func (e *engine) applyLevelChange(s *sessState, w walker, k int, nl int32) {
 	a := s.levels[k]
 	if nl == a {
 		return
 	}
-	s.levelInt += float64(s.sumLevel) * (e.now - s.levelT)
-	s.levelT = e.now
-	s.sumLevel += int64(nl - a)
 	s.levels[k] = nl
-	s.nAtLevel[a]--
-	s.nAtLevel[nl]++
-	e.propagateFrom(s, s.recvNode[k], a, nl)
-	if p := e.part; p != nil {
-		// Sequential-phase changes (churn, signals, core-walk drops)
-		// propagate straight through cut edges; re-sync the owning
-		// subtree's rollup snapshot so the deferred path stays coherent.
-		if j := p.subOfNode[s.recvNode[k]]; j >= 0 {
+	if w.sub < 0 {
+		s.levelInt += float64(s.sumLevel) * (e.now - s.levelT)
+		s.levelT = e.now
+		s.sumLevel += int64(nl - a)
+		s.nAtLevel[a]--
+		s.nAtLevel[nl]++
+	} else {
+		p, j := e.part, w.sub
+		p.levelInt[j] += float64(p.sumLevel[j]) * (e.now - p.levelT[j])
+		p.levelT[j] = e.now
+		p.sumLevel[j] += int64(nl - a)
+		row := j * int(p.mrow)
+		p.nAtLevel[row+int(a)]--
+		p.nAtLevel[row+int(nl)]++
+	}
+	nd := s.recvNode[k]
+	e.propagateFrom(s, w, nd, a, nl)
+	if p := e.part; p != nil && w.sub < 0 {
+		// Sequential changes (churn, signals, core-walk drops) propagate
+		// straight through cut edges; re-sync the owning subtree's rollup
+		// snapshot so the deferred path stays coherent.
+		if j := p.subOfNode[nd]; j >= 0 {
 			p.prevRootMax[j] = s.subMax[p.subRoot[j]]
 		}
 	}
@@ -1176,8 +1192,15 @@ func (e *engine) applyLevelChange(s *sessState, k int, nl int32) {
 
 // propagateFrom bubbles a contribution change (level a -> b) at node nd
 // up the session tree: per ancestor it is one counting-bucket bump;
-// propagation stops at the first node whose maximum does not move.
-func (e *engine) propagateFrom(s *sessState, nd, a, b int32) {
+// propagation stops at the first node whose maximum does not move, and
+// in any case at w's top node — the session root for the sequential
+// walker, the subtree root for a subtree walker (the cut edge above it
+// is rollupSubtree's).
+func (e *engine) propagateFrom(s *sessState, w walker, nd, a, b int32) {
+	top := int32(0)
+	if w.sub >= 0 {
+		top = e.part.subRoot[w.sub]
+	}
 	for {
 		om := s.subMax[nd]
 		var nm int32
@@ -1209,16 +1232,20 @@ func (e *engine) propagateFrom(s *sessState, nd, a, b int32) {
 			return
 		}
 		s.subMax[nd] = nm
-		eid := s.parentEdge[nd]
-		if eid < 0 {
-			return // reached the session root
+		if nd == top {
+			return
 		}
+		// The edge above nd: advance its fluid integral, publish the
+		// new edgeSub, adjust a Capacity link's demand by the
+		// cumulative-rate delta, and re-bucket it in a wide parent.
+		eid := s.parentEdge[nd]
 		s.fluidInt[eid] += s.cum[om] * (e.now - s.fluidT[eid])
 		s.fluidT[eid] = e.now
 		s.edgeSub[eid] = nm
 		if e.trackDemand {
-			// Non-Capacity edges alias the write-only sentinel row.
-			e.capDem[s.hot[eid].capIdx].dem += s.cum[nm] - s.cum[om]
+			if ci := s.hot[eid].capIdx; ci != e.capSentinel {
+				e.capDem[ci].dem += s.cum[nm] - s.cum[om]
+			}
 		}
 		if s.linger != nil && nm < om {
 			// Layers nm..om-1 just lost their last subscriber below this
@@ -1238,14 +1265,14 @@ func (e *engine) propagateFrom(s *sessState, nd, a, b int32) {
 	}
 }
 
-// armReceiver re-arms receiver k's join logic at level lv — the engine
-// inlining of protocol.Receiver.resetEventState.
-func (e *engine) armReceiver(s *sessState, k int, lv int32) {
+// armReceiver re-arms receiver k's join logic at level lv, drawing from
+// w's stream — the engine inlining of protocol.Receiver.resetEventState.
+func (e *engine) armReceiver(s *sessState, w walker, k int, lv int32) {
 	switch s.cfg.Protocol {
 	case protocol.Deterministic:
 		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
 	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(e.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
+		s.countdown[k] = int64(protocol.SampleGeometric(w.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
 	case protocol.Coordinated:
 		s.clean[k] = true
 	}
@@ -1253,159 +1280,85 @@ func (e *engine) armReceiver(s *sessState, k int, lv int32) {
 
 // joinReceiver adds one layer to receiver k (bounded by M) and re-arms
 // its join state — protocol.Receiver.join.
-func (e *engine) joinReceiver(s *sessState, k int) {
+func (e *engine) joinReceiver(s *sessState, w walker, k int) {
 	lv := s.levels[k]
 	if lv < s.m {
 		lv++
-		e.applyLevelChange(s, k, lv)
+		e.applyLevelChange(s, w, k, lv)
 	}
-	e.armReceiver(s, k, lv)
+	e.armReceiver(s, w, k, lv)
 }
 
 // congestReceiver applies a congestion observation to receiver k: leave
 // the top joined layer (unless only the base layer is joined) and
 // re-arm — protocol.Receiver.OnCongestion.
-func (e *engine) congestReceiver(s *sessState, k int) {
+func (e *engine) congestReceiver(s *sessState, w walker, k int) {
 	lv := s.levels[k]
 	if lv > 1 {
 		lv--
-		e.applyLevelChange(s, k, lv)
+		e.applyLevelChange(s, w, k, lv)
 	}
+	e.armReceiver(s, w, k, lv)
 	s.clean[k] = false // a Coordinated receiver must wait for a clean window
-	switch s.cfg.Protocol {
-	case protocol.Deterministic:
-		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
-	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(e.rng, 1/float64(protocol.JoinThreshold(int(lv)))))
-	}
 }
 
-// forward drains one packet through the session tree from node at time
-// t: one fused, allocation-free loop over a reusable work stack of edge
-// ids. Per hop it reads the 32-byte hot edge record (admission class,
-// the entered node's receiver and child blocks), decides admission
-// inline (Perfect/Bernoulli/Capacity; DropTail goes through the queue
+// walk drains one packet of layer through the session tree from node at
+// time t under walker w: one fused, allocation-free loop over the work
+// stack st, which it returns emptied for reuse. Per hop it reads the
+// 32-byte hot edge record (admission class, the entered node's receiver
+// and child blocks), decides admission inline with w's stream
+// (Perfect/Bernoulli/LayerLoss/Capacity; DropTail goes through the queue
 // model and schedules a continuation event at its exit time), delivers
-// to the subscribed receivers, then tail-descends into the first
-// eligible child, pushing only the remaining siblings.
+// to the entered node's subscribed receivers, then tail-descends into
+// the first eligible child, pushing only the remaining siblings.
+//
+// A cut edge (metaCut, partitioned engines only) is crossed and its
+// admission fixed, but an admitted packet is recorded as an arrival for
+// the subtree below instead of descending: phase 2 walks it there under
+// the subtree's walker. Under a leave-latency regime every expanded node
+// also meters a crossing on each unsubscribed child whose linger window
+// is still open; those deliver nothing and draw no randomness, so the
+// subscribed crossings and every draw stay those of the latency-0 walk.
 //
 // Eligibility snapshots before descent: sibling subtrees are disjoint,
 // so processing one cannot change another's subtree maximum, and level
 // changes triggered by a delivery only re-bucket nodes on the path to
 // the root — never the entered node's own children.
-func (e *engine) forward(s *sessState, layer, node int32, t float64) {
+func (e *engine) walk(s *sessState, w walker, layer, node int32, t float64, st []int32) []int32 {
 	countJoins := s.cfg.Protocol != protocol.Coordinated
-	// Entry node: deliver to its receivers, then seed the walk with its
-	// eligible children (in bucket order: first directly, rest pushed in
-	// reverse).
-	for x := s.recvStart[node]; x < s.recvStart[node+1]; x++ {
-		k := s.recvList[x]
-		if s.levels[k] > layer { // departed receivers sit at level 0
-			s.received[k]++
-			if countJoins {
-				s.countdown[k]--
-				if s.countdown[k] <= 0 {
-					e.joinReceiver(s, int(k))
-				}
-			}
-		}
-	}
-	if s.lossOnly {
-		e.forwardLossOnly(s, layer, node, countJoins)
-		return
-	}
-	if s.capOnly {
-		e.forwardCapOnly(s, layer, node, countJoins)
-		return
-	}
-	st := e.fwdStack[:0]
+	// The entry node is expanded like any entered node, through a
+	// stand-in edge record carrying its receiver and child blocks. Its
+	// fields are stored one by one: a composite literal is built in a
+	// temporary and block-copied, and the wide copy's loads stall on
+	// the narrow stores still in flight.
+	var entry hotEdge
+	entry.recvLo, entry.recvHi = s.recvStart[node], s.recvStart[node+1]
+	entry.edgeLo, entry.edgeHi = s.edgeStart[node], s.edgeStart[node+1]
+	entry.gtOff = node << s.rowShift
 	if s.wide[node] {
-		base := s.edgeStart[node]
-		for p := s.gt[(node<<s.rowShift)+layer] - 1; p >= 0; p-- {
-			st = append(st, s.order[base+p])
-		}
-	} else {
-		for ceid := s.edgeStart[node+1] - 1; ceid >= s.edgeStart[node]; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
+		entry.meta = metaWide
 	}
-	for len(st) > 0 {
-		eid := st[len(st)-1]
-		st = st[:len(st)-1]
-	descend:
-		ed := &s.hot[eid]
-		s.crossed[eid]++
-		dropped := false
-		switch int8(ed.meta & metaKindMask) {
-		case ekAlways:
-		case ekBernoulli:
-			// The i.i.d. Bernoulli drop process is realized by sampling
-			// inter-drop gaps geometrically — exactly the same law as a
-			// per-crossing coin flip, one RNG draw per drop instead of
-			// one per crossing. The refill happens at the consumption
-			// point (a crossing with an exhausted gap), keeping the RNG
-			// draw order identical to the per-crossing formulation.
-			gap := s.lossGap[eid]
-			if gap == 0 {
-				// protocol.SampleGeometricInv, textually inlined (the
-				// call costs ~2% on loss-heavy walks; the property
-				// suite pins the equivalence draw for draw).
-				u := e.rng.Float64()
-				if u <= 0 {
-					u = math.SmallestNonzeroFloat64
-				}
-				gap = int64(math.Log(u)*s.cold[eid].invLog) + 1
-				if gap < 1 {
-					gap = 1
-				}
-			}
-			gap--
-			s.lossGap[eid] = gap
-			dropped = gap == 0
-		case ekLayerLoss:
-			// Layer-dependent loss breaks the geometric-gap trick (the
-			// per-crossing probability is no longer constant), so draw
-			// directly per crossing.
-			ll := e.linkLayerLoss[ed.link]
-			p := ll[len(ll)-1]
-			if int(layer) < len(ll) {
-				p = ll[layer]
-			}
-			dropped = p > 0 && e.rng.Float64() < p
-		case ekCapacity:
-			// Drop with probability (d-c)/d; comparing r*d < d-c avoids
-			// the division on the admission fast path.
-			cd := &e.capDem[ed.capIdx]
-			d := cd.dem + cd.bg
-			dropped = d > cd.cap && e.rng.Float64()*d < d-cd.cap
-		default: // ekDropTail
-			exit, drop := e.links[ed.link].admitQueue(t)
-			if drop {
-				dropped = true
-				break
-			}
-			if exit > t {
-				e.push(event{time: exit, kind: evForward, sess: int32(s.idx), layer: layer, node: ed.gtOff >> s.rowShift})
-				continue
-			}
-		}
-		if dropped {
-			s.cold[eid].drops++
-			e.notifyLoss(s, layer, eid)
-			continue
-		}
+	ed := &entry
+	var eid int32
+	st = st[:0]
+	for {
 		// Deliver to the entered node's receivers.
 		for x := ed.recvLo; x < ed.recvHi; x++ {
 			k := s.recvList[x]
-			if s.levels[k] > layer {
+			if s.levels[k] > layer { // departed receivers sit at level 0
 				s.received[k]++
 				if countJoins {
 					s.countdown[k]--
 					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
+						e.joinReceiver(s, w, int(k))
 					}
+				}
+			}
+		}
+		if s.linger != nil {
+			for ceid := ed.edgeLo; ceid < ed.edgeHi; ceid++ {
+				if s.edgeSub[ceid] <= layer && s.linger[(ceid<<s.rowShift)+layer] > t {
+					s.crossed[ceid]++ // a leave still being processed wastes the link
 				}
 			}
 		}
@@ -1435,24 +1388,110 @@ func (e *engine) forward(s *sessState, layer, node int32, t float64) {
 				goto descend
 			}
 		}
+	pop:
+		if len(st) == 0 {
+			return st
+		}
+		eid = st[len(st)-1]
+		st = st[:len(st)-1]
+	descend:
+		ed = &s.hot[eid]
+		s.crossed[eid]++
+		switch int8(ed.meta & metaKindMask) {
+		case ekAlways:
+		case ekBernoulli:
+			// The i.i.d. Bernoulli drop process is realized by sampling
+			// inter-drop gaps geometrically — exactly the same law as a
+			// per-crossing coin flip, one RNG draw per drop instead of
+			// one per crossing. The refill happens at the consumption
+			// point (a crossing with an exhausted gap), keeping the RNG
+			// draw order identical to the per-crossing formulation.
+			gap := s.lossGap[eid]
+			if gap == 0 {
+				// protocol.SampleGeometricInv, textually inlined (the
+				// call costs ~2% on loss-heavy walks; the property
+				// suite pins the equivalence draw for draw).
+				u := w.rng.Float64()
+				if u <= 0 {
+					u = math.SmallestNonzeroFloat64
+				}
+				gap = int64(math.Log(u)*s.cold[eid].invLog) + 1
+				if gap < 1 {
+					gap = 1
+				}
+			}
+			gap--
+			s.lossGap[eid] = gap
+			if gap == 0 {
+				goto drop
+			}
+		case ekLayerLoss:
+			// Layer-dependent loss breaks the geometric-gap trick (the
+			// per-crossing probability is no longer constant), so draw
+			// directly per crossing.
+			ll := e.linkLayerLoss[ed.link]
+			p := ll[len(ll)-1]
+			if int(layer) < len(ll) {
+				p = ll[layer]
+			}
+			if p > 0 && w.rng.Float64() < p {
+				goto drop
+			}
+		case ekCapacity:
+			// Drop with probability (d-c)/d; comparing r*d < d-c avoids
+			// the division on the admission fast path.
+			cd := &e.capDem[ed.capIdx]
+			if d := cd.dem + cd.bg; d > cd.cap && w.rng.Float64()*d < d-cd.cap {
+				goto drop
+			}
+		default: // ekDropTail; never on partitioned trees
+			exit, full := e.links[ed.link].admitQueue(t)
+			if full {
+				goto drop
+			}
+			if exit > t {
+				e.push(event{time: exit, kind: evForward, sess: int32(s.idx), layer: layer, node: ed.gtOff >> s.rowShift})
+				goto pop
+			}
+		}
+		if ed.meta&metaCut != 0 {
+			e.part.arrivals = append(e.part.arrivals, e.part.subOfNode[ed.gtOff>>s.rowShift])
+			goto pop
+		}
+		continue
+	drop:
+		s.cold[eid].drops++
+		e.notifyLoss(s, w, layer, eid)
+		goto pop
 	}
-	e.fwdStack = st[:0]
 }
 
-// forwardLossOnly is forward's walk for sessions whose tree carries
-// only instant loss links (Perfect / Bernoulli) — the paper's Section 4
-// setting and the common large-topology scenario — with the admission
-// switch compiled out: an edge either always admits or runs the
-// geometric gap counter. Behavior is identical to the generic walk.
-func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins bool) {
+// forwardLossOnly is the walk of one transmission from the sender of a
+// lossOnly session (Perfect/Bernoulli links, unpartitioned, no linger)
+// with the admission switch compiled out: an edge either always admits
+// or runs the geometric gap counter. Behavior is identical to walk
+// under the sequential walker.
+func (e *engine) forwardLossOnly(s *sessState, layer int32) {
+	countJoins := s.cfg.Protocol != protocol.Coordinated
+	for x := s.recvStart[0]; x < s.recvStart[1]; x++ {
+		k := s.recvList[x]
+		if s.levels[k] > layer {
+			s.received[k]++
+			if countJoins {
+				s.countdown[k]--
+				if s.countdown[k] <= 0 {
+					e.joinReceiver(s, e.seqWalker(), int(k))
+				}
+			}
+		}
+	}
 	st := e.fwdStack[:0]
-	if s.wide[node] {
-		base := s.edgeStart[node]
-		for p := s.gt[(node<<s.rowShift)+layer] - 1; p >= 0; p-- {
-			st = append(st, s.order[base+p])
+	if s.wide[0] {
+		for p := s.gt[layer] - 1; p >= 0; p-- {
+			st = append(st, s.order[p])
 		}
 	} else {
-		for ceid := s.edgeStart[node+1] - 1; ceid >= s.edgeStart[node]; ceid-- {
+		for ceid := s.edgeStart[1] - 1; ceid >= 0; ceid-- {
 			if s.edgeSub[ceid] > layer {
 				st = append(st, ceid)
 			}
@@ -1469,9 +1508,6 @@ func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins boo
 		if ed.meta&metaKindMask != 0 {
 			gap := s.lossGap[eid]
 			if gap == 0 {
-				// protocol.SampleGeometricInv, textually inlined (the
-				// call costs ~2% on loss-heavy walks; the property
-				// suite pins the equivalence draw for draw).
 				u := e.rng.Float64()
 				if u <= 0 {
 					u = math.SmallestNonzeroFloat64
@@ -1485,7 +1521,7 @@ func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins boo
 			s.lossGap[eid] = gap
 			if gap == 0 {
 				s.cold[eid].drops++
-				e.notifyLoss(s, layer, eid)
+				e.notifyLoss(s, e.seqWalker(), layer, eid)
 				continue
 			}
 		}
@@ -1496,7 +1532,7 @@ func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins boo
 				if countJoins {
 					s.countdown[k]--
 					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
+						e.joinReceiver(s, e.seqWalker(), int(k))
 					}
 				}
 			}
@@ -1525,216 +1561,6 @@ func (e *engine) forwardLossOnly(s *sessState, layer, node int32, countJoins boo
 				goto descend
 			}
 		}
-	}
-	e.fwdStack = st[:0]
-}
-
-// forwardCapOnly is forward's walk for sessions whose tree carries
-// only Perfect and capacity-coupled links — the irregular-topology
-// (ScaleFree / FatTree) benchmark shape — with the admission switch
-// narrowed to one branch: an edge either always admits or runs the
-// fluid-overload coin against its packed capDem row. Behavior is
-// identical to the generic walk.
-func (e *engine) forwardCapOnly(s *sessState, layer, node int32, countJoins bool) {
-	st := e.fwdStack[:0]
-	if s.wide[node] {
-		base := s.edgeStart[node]
-		for p := s.gt[(node<<s.rowShift)+layer] - 1; p >= 0; p-- {
-			st = append(st, s.order[base+p])
-		}
-	} else {
-		for ceid := s.edgeStart[node+1] - 1; ceid >= s.edgeStart[node]; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
-	}
-	for len(st) > 0 {
-		eid := st[len(st)-1]
-		st = st[:len(st)-1]
-	descend:
-		ed := &s.hot[eid]
-		s.crossed[eid]++
-		// In a cap-only tree the kind bits are ekAlways (0) or
-		// ekCapacity, so any set kind bit means "run the overload coin".
-		if ed.meta&metaKindMask != 0 {
-			cd := &e.capDem[ed.capIdx]
-			d := cd.dem + cd.bg
-			if d > cd.cap && e.rng.Float64()*d < d-cd.cap {
-				s.cold[eid].drops++
-				e.notifyLoss(s, layer, eid)
-				continue
-			}
-		}
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
-					}
-				}
-			}
-		}
-		if ed.meta&metaWide != 0 {
-			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
-				cb := ed.edgeLo
-				for p := cn - 1; p >= 1; p-- {
-					st = append(st, s.order[cb+p])
-				}
-				eid = s.order[cb]
-				goto descend
-			}
-		} else {
-			first := int32(-1)
-			for ceid := ed.edgeHi - 1; ceid >= ed.edgeLo; ceid-- {
-				if s.edgeSub[ceid] > layer {
-					if first >= 0 {
-						st = append(st, first)
-					}
-					first = ceid
-				}
-			}
-			if first >= 0 {
-				eid = first
-				goto descend
-			}
-		}
-	}
-	e.fwdStack = st[:0]
-}
-
-// dispatch routes one packet into the session tree, picking the walk
-// variant: sessions under a leave-latency regime take forwardLinger
-// (which must also run when nothing is subscribed, to meter lingering
-// crossings); everything else takes the optimized forward.
-func (e *engine) dispatch(s *sessState, layer, node int32, t float64) {
-	if s.linger != nil {
-		e.forwardLinger(s, layer, node, t)
-		return
-	}
-	e.forward(s, layer, node, t)
-}
-
-// pushEligibleLinger seeds/extends the linger walk at node nd: it
-// pushes nd's subscribed children in reverse of the exact enumeration
-// order forward uses (wide nodes: the counting-sorted bucket prefix;
-// narrow nodes: dense ceid order), so the DFS order of subscribed-edge
-// crossings — and hence every RNG draw — is identical to the plain
-// walk's. Unsubscribed children inside an open linger window count a
-// crossing inline: they deliver nothing and draw no randomness, so
-// their position in the iteration is immaterial.
-func (s *sessState) pushEligibleLinger(st []int32, nd, layer int32, t float64) []int32 {
-	lo, hi := s.edgeStart[nd], s.edgeStart[nd+1]
-	if s.wide[nd] {
-		for p := s.gt[(nd<<s.rowShift)+layer] - 1; p >= 0; p-- {
-			st = append(st, s.order[lo+p])
-		}
-	} else {
-		for ceid := hi - 1; ceid >= lo; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
-	}
-	for ceid := lo; ceid < hi; ceid++ {
-		if s.edgeSub[ceid] <= layer && s.linger[(ceid<<s.rowShift)+layer] > t {
-			s.crossed[ceid]++ // a leave still being processed wastes the link
-		}
-	}
-	return st
-}
-
-// forwardLinger is the walk for sessions with LeaveLatency > 0: besides
-// the normal descent into subscribed subtrees, an edge whose subtree
-// has abandoned the layer still counts a crossing while its linger
-// window is open — consuming bandwidth, delivering nothing, observing
-// no losses, and drawing no randomness. Subscribed edges are visited in
-// forward's exact DFS order (see pushEligibleLinger), so receiver
-// dynamics are identical to the latency-0 run at equal seed.
-func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
-	countJoins := s.cfg.Protocol != protocol.Coordinated
-	for x := s.recvStart[node]; x < s.recvStart[node+1]; x++ {
-		k := s.recvList[x]
-		if s.levels[k] > layer {
-			s.received[k]++
-			if countJoins {
-				s.countdown[k]--
-				if s.countdown[k] <= 0 {
-					e.joinReceiver(s, int(k))
-				}
-			}
-		}
-	}
-	st := s.pushEligibleLinger(e.fwdStack[:0], node, layer, t)
-	for len(st) > 0 {
-		eid := st[len(st)-1]
-		st = st[:len(st)-1]
-		ed := &s.hot[eid]
-		s.crossed[eid]++
-		dropped := false
-		switch int8(ed.meta & metaKindMask) {
-		case ekAlways:
-		case ekBernoulli:
-			gap := s.lossGap[eid]
-			if gap == 0 {
-				// protocol.SampleGeometricInv, textually inlined (the
-				// call costs ~2% on loss-heavy walks; the property
-				// suite pins the equivalence draw for draw).
-				u := e.rng.Float64()
-				if u <= 0 {
-					u = math.SmallestNonzeroFloat64
-				}
-				gap = int64(math.Log(u)*s.cold[eid].invLog) + 1
-				if gap < 1 {
-					gap = 1
-				}
-			}
-			gap--
-			s.lossGap[eid] = gap
-			dropped = gap == 0
-		case ekLayerLoss:
-			ll := e.linkLayerLoss[ed.link]
-			p := ll[len(ll)-1]
-			if int(layer) < len(ll) {
-				p = ll[layer]
-			}
-			dropped = p > 0 && e.rng.Float64() < p
-		case ekCapacity:
-			cd := &e.capDem[ed.capIdx]
-			d := cd.dem + cd.bg
-			dropped = d > cd.cap && e.rng.Float64()*d < d-cd.cap
-		default: // ekDropTail
-			exit, drop := e.links[ed.link].admitQueue(t)
-			if drop {
-				dropped = true
-				break
-			}
-			if exit > t {
-				e.push(event{time: exit, kind: evForward, sess: int32(s.idx), layer: layer, node: ed.gtOff >> s.rowShift})
-				continue
-			}
-		}
-		if dropped {
-			s.cold[eid].drops++
-			e.notifyLoss(s, layer, eid)
-			continue
-		}
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
-					}
-				}
-			}
-		}
-		st = s.pushEligibleLinger(st, ed.gtOff>>s.rowShift, layer, t)
 	}
 	e.fwdStack = st[:0]
 }
@@ -1744,11 +1570,12 @@ func (e *engine) forwardLinger(s *sessState, layer, node int32, t float64) {
 // immediate-feedback idealization; links below a drop carry nothing).
 // The downstream receiver set of an edge is static topology, so it is a
 // precomputed list scanned in the same DFS order the subtree walk would
-// visit — subscribed receivers are exactly those above the layer.
-func (e *engine) notifyLoss(s *sessState, layer, eid int32) {
+// visit — subscribed receivers are exactly those above the layer. Under
+// a subtree walker every such receiver lives in the walker's subtree.
+func (e *engine) notifyLoss(s *sessState, w walker, layer, eid int32) {
 	for _, k := range s.downRecv[s.downStart[eid]:s.downStart[eid+1]] {
 		if s.levels[k] > layer {
-			e.congestReceiver(s, int(k))
+			e.congestReceiver(s, w, int(k))
 		}
 	}
 }
@@ -1759,10 +1586,10 @@ func (e *engine) applyChurn(ev ChurnEvent) {
 	switch {
 	case ev.Join && s.levels[k] == 0:
 		// A rejoining receiver starts fresh at the base layer.
-		e.applyLevelChange(s, k, 1)
-		e.armReceiver(s, k, 1)
+		e.applyLevelChange(s, e.seqWalker(), k, 1)
+		e.armReceiver(s, e.seqWalker(), k, 1)
 	case !ev.Join && s.levels[k] > 0:
-		e.applyLevelChange(s, k, 0)
+		e.applyLevelChange(s, e.seqWalker(), k, 0)
 	}
 }
 
@@ -1895,8 +1722,9 @@ func (c *calendar) fire(si int) (lo int32) {
 // parks the clock there, so time-integrated outputs all integrate over
 // the same duration. A horizon below the engine's own last tick (Run
 // passes 0) means that tick: the engine owns every session. Group
-// engines get the global instant from groupBudgets, and partitioned
-// engines route transmissions through forwardSubtree.
+// engines get the global instant from groupBudgets. A transmission takes
+// forwardLossOnly on lossOnly trees, forwardSubtree on partitioned
+// engines, and the general walk otherwise.
 func (e *engine) run(budget int, horizon float64) {
 	for e.sent < budget {
 		si, ts := e.cal.next()
@@ -1909,15 +1737,16 @@ func (e *engine) run(budget int, horizon float64) {
 		e.ticksFired++
 		for l := e.cal.fire(si); l < s.m && e.sent < budget; l++ {
 			e.sent++
-			if s.linger != nil {
-				// Linger sessions walk even when nothing subscribes: a
-				// pending leave still meters crossings on the root edges.
-				e.forwardLinger(s, l, 0, ts)
-			} else if s.subMax[0] > l {
-				if e.part != nil {
+			// Linger sessions walk even when nothing subscribes: a
+			// pending leave still meters crossings on the root edges.
+			if s.subMax[0] > l || s.linger != nil {
+				switch {
+				case s.lossOnly:
+					e.forwardLossOnly(s, l)
+				case e.part != nil:
 					e.forwardSubtree(s, l)
-				} else {
-					e.forward(s, l, 0, ts)
+				default:
+					e.fwdStack = e.walk(s, e.seqWalker(), l, 0, ts, e.fwdStack)
 				}
 			}
 			if e.probe != nil {
@@ -1956,7 +1785,9 @@ func (e *engine) drainUntil(t float64) {
 		switch ev.kind {
 		case evForward:
 			e.popForward++
-			e.dispatch(&e.sess[ev.sess], ev.layer, ev.node, e.now)
+			// A DropTail continuation: the packet resumes its walk at
+			// the node its queue delivered it to.
+			e.fwdStack = e.walk(&e.sess[ev.sess], e.seqWalker(), ev.layer, ev.node, e.now, e.fwdStack)
 		case evChurn:
 			e.popChurn++
 			e.applyChurn(e.churn[ev.node])
@@ -1995,7 +1826,7 @@ func (e *engine) signal() {
 				continue
 			}
 			if s.clean[k] {
-				e.joinReceiver(s, k)
+				e.joinReceiver(s, e.seqWalker(), k)
 			} else {
 				// Missed opportunity; the next window starts now.
 				s.clean[k] = true

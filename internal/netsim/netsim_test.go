@@ -222,6 +222,8 @@ func TestValidation(t *testing.T) {
 		{"churn session", func(c *Config) { c.Churn = []ChurnEvent{{Session: 9}} }, "out of range"},
 		{"churn receiver", func(c *Config) { c.Churn = []ChurnEvent{{Receiver: 9}} }, "out of range"},
 		{"churn time", func(c *Config) { c.Churn = []ChurnEvent{{Time: -1}} }, "negative time"},
+		{"churn time NaN", func(c *Config) { c.Churn = []ChurnEvent{{Time: math.NaN()}} }, "finite non-negative time"},
+		{"churn time +Inf", func(c *Config) { c.Churn = []ChurnEvent{{Time: math.Inf(1)}} }, "finite non-negative time"},
 		{"signal period", func(c *Config) { c.SignalPeriod = -1 }, "SignalPeriod"},
 	}
 	for _, tc := range cases {

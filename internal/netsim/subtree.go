@@ -1,12 +1,9 @@
 package netsim
 
 import (
-	"math"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-
-	"mlfair/internal/protocol"
 )
 
 // Intra-session subtree sharding (Config.Shards >= 1, single-session
@@ -19,28 +16,30 @@ import (
 // subtrees hanging off the core are pairwise link-disjoint, so — exactly
 // like shard groups — they can only interact through the shared core
 // prefix above them. The engine therefore partitions the DFS-ordered CSR
-// tree at a cut frontier and splits every transmission walk into three
-// phases:
+// tree at a cut frontier and splits every transmission into three
+// phases, all of them the one packet walk (engine.walk) under different
+// walkers:
 //
-//  1. Core (sequential). forwardCore walks the shared prefix with the
-//     engine's own RNG stream, exactly like the plain walk, except that a
-//     cut edge is not descended: its crossing is counted and its
-//     admission outcome fixed here — sequentially, in DFS order — and an
-//     admitted packet is recorded as an arrival for the subtree below.
-//     Fixing cut-edge outcomes in the core phase is what makes the fan-out
-//     phase embarrassingly parallel: nothing a subtree does can change
-//     whether a sibling's packet was admitted.
+//  1. Core (sequential). The sequential walker walks the shared prefix
+//     from the sender with the engine's own RNG stream, exactly like an
+//     unpartitioned walk, except that a cut edge is not descended: its
+//     crossing is counted and its admission outcome fixed here —
+//     sequentially, in DFS order — and an admitted packet is recorded as
+//     an arrival for the subtree below. Fixing cut-edge outcomes in the
+//     core phase is what makes the fan-out phase embarrassingly
+//     parallel: nothing a subtree does can change whether a sibling's
+//     packet was admitted.
 //
-//  2. Fan-out (parallel). Each arrived subtree runs the ordinary fused
-//     walk over its own edges, drawing from its own PCG stream (seeded
-//     from the group seed and the subtree index — never from Shards or
-//     the worker schedule) and mutating only subtree-owned state: its
-//     receivers' protocol arrays, its edges' counters, its nodes'
-//     subscription rows, and a per-subtree level-accounting partition.
-//     Level changes propagate only up to the subtree root; the cut edge
-//     itself is left untouched (phase 3 owns it). Work is distributed by
-//     an atomic cursor — the schedule affects wall-clock only, never
-//     state, because subtrees are disjoint.
+//  2. Fan-out (parallel). Each arrived subtree j is walked from its root
+//     under walker{rngs[j], j}: draws come from the subtree's own PCG
+//     stream (seeded from the group seed and the subtree index — never
+//     from Shards or the worker schedule), and only subtree-owned state
+//     is mutated: its receivers' protocol arrays, its edges' counters,
+//     its nodes' subscription rows, and the partition's level-accounting
+//     row j. Level changes propagate only up to the subtree root; the cut
+//     edge itself is left untouched (phase 3 owns it). Work is
+//     distributed by an atomic cursor — the schedule affects wall-clock
+//     only, never state, because subtrees are disjoint.
 //
 //  3. Rollup (sequential). For each arrival, in ascending subtree order,
 //     the deferred cut-edge bookkeeping runs if the subtree root's
@@ -67,10 +66,9 @@ import (
 // partition before any engine exists.
 //
 // Between transmissions everything is sequential, so churn, signal
-// delivery, and probe flushes run on globally consistent state with the
-// engine's own stream; level changes from those paths go through the
-// full applyLevelChange (straight through the cut edge) and re-sync the
-// subtree's rollup snapshot.
+// delivery, and probe flushes run on globally consistent state under
+// the sequential walker; its level changes propagate straight through
+// the cut edge and re-sync the subtree's rollup snapshot.
 
 // subtreeSalt decorrelates per-subtree seeds from both the replication
 // fan-out (ReplicationSeed(seed, i)) and the shard-group fan-out
@@ -353,11 +351,9 @@ func (p *treePartition) runPhase2(e *engine, s *sessState, layer int32) {
 		p.ensure(e, s)
 	}
 	if p.workers <= 1 || n < 2*p.workers {
-		st := p.stacks[0]
 		for _, j := range p.arrivals {
-			st = e.walkSubtree(s, p, int(j), layer, st)
+			p.stacks[0] = e.walk(s, walker{p.rngs[j], int(j)}, layer, p.subRoot[j], e.now, p.stacks[0])
 		}
-		p.stacks[0] = st
 		return
 	}
 	p.layer = layer
@@ -393,377 +389,23 @@ func (p *treePartition) drain(e *engine, s *sessState, w int) {
 			hi = n
 		}
 		for _, j := range p.arrivals[i:hi] {
-			st = e.walkSubtree(s, p, int(j), layer, st)
+			st = e.walk(s, walker{p.rngs[j], int(j)}, layer, p.subRoot[j], e.now, st)
 		}
 	}
 	p.stacks[w] = st
 }
 
-// forwardSubtree is the decomposed transmission: core prefix, parallel
-// fan-out, deterministic rollup. It replaces forward on partitioned
-// engines (runShard routes here).
+// forwardSubtree is the decomposed transmission on a partitioned
+// engine: the core phase (the sequential walker from the sender, which
+// stops at cut edges and records arrivals), the parallel fan-out, and
+// the deterministic rollup.
 func (e *engine) forwardSubtree(s *sessState, layer int32) {
-	e.forwardCore(s, layer)
 	p := e.part
+	p.arrivals = p.arrivals[:0]
+	e.fwdStack = e.walk(s, e.seqWalker(), layer, 0, e.now, e.fwdStack)
 	p.runPhase2(e, s, layer)
 	for _, j := range p.arrivals {
 		e.rollupSubtree(s, int(j))
-	}
-}
-
-// forwardCore walks the shared core prefix from the sender exactly like
-// forward, except at cut edges: the crossing is counted and the
-// admission outcome fixed here with the engine's stream (a drop
-// congests the subtree's receivers immediately, through the full
-// sequential machinery), and an admitted packet becomes an arrival —
-// the descent into the subtree is deferred to phase 2. DropTail never
-// occurs on partitioned trees, so no events are scheduled.
-func (e *engine) forwardCore(s *sessState, layer int32) {
-	p := e.part
-	p.arrivals = p.arrivals[:0]
-	countJoins := s.cfg.Protocol != protocol.Coordinated
-	for x := s.recvStart[0]; x < s.recvStart[1]; x++ {
-		k := s.recvList[x]
-		if s.levels[k] > layer {
-			s.received[k]++
-			if countJoins {
-				s.countdown[k]--
-				if s.countdown[k] <= 0 {
-					e.joinReceiver(s, int(k))
-				}
-			}
-		}
-	}
-	st := e.fwdStack[:0]
-	if s.wide[0] {
-		for q := s.gt[layer] - 1; q >= 0; q-- {
-			st = append(st, s.order[q])
-		}
-	} else {
-		for ceid := s.edgeStart[1] - 1; ceid >= 0; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
-	}
-	for len(st) > 0 {
-		eid := st[len(st)-1]
-		st = st[:len(st)-1]
-	descend:
-		ed := &s.hot[eid]
-		s.crossed[eid]++
-		dropped := false
-		switch int8(ed.meta & metaKindMask) {
-		case ekAlways:
-		case ekBernoulli:
-			gap := s.lossGap[eid]
-			if gap == 0 {
-				// protocol.SampleGeometricInv, textually inlined (the
-				// call costs ~2% on loss-heavy walks; the property
-				// suite pins the equivalence draw for draw).
-				u := e.rng.Float64()
-				if u <= 0 {
-					u = math.SmallestNonzeroFloat64
-				}
-				gap = int64(math.Log(u)*s.cold[eid].invLog) + 1
-				if gap < 1 {
-					gap = 1
-				}
-			}
-			gap--
-			s.lossGap[eid] = gap
-			dropped = gap == 0
-		case ekLayerLoss:
-			ll := e.linkLayerLoss[ed.link]
-			pr := ll[len(ll)-1]
-			if int(layer) < len(ll) {
-				pr = ll[layer]
-			}
-			dropped = pr > 0 && e.rng.Float64() < pr
-		default: // ekCapacity; ekDropTail is excluded by partition eligibility
-			cd := &e.capDem[ed.capIdx]
-			d := cd.dem + cd.bg
-			dropped = d > cd.cap && e.rng.Float64()*d < d-cd.cap
-		}
-		if ed.meta&metaCut != 0 {
-			if dropped {
-				s.cold[eid].drops++
-				e.notifyLoss(s, layer, eid)
-				continue
-			}
-			p.arrivals = append(p.arrivals, p.subOfNode[ed.gtOff>>s.rowShift])
-			continue
-		}
-		if dropped {
-			s.cold[eid].drops++
-			e.notifyLoss(s, layer, eid)
-			continue
-		}
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiver(s, int(k))
-					}
-				}
-			}
-		}
-		if ed.meta&metaWide != 0 {
-			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
-				cb := ed.edgeLo
-				for q := cn - 1; q >= 1; q-- {
-					st = append(st, s.order[cb+q])
-				}
-				eid = s.order[cb]
-				goto descend
-			}
-		} else {
-			first := int32(-1)
-			for ceid := ed.edgeHi - 1; ceid >= ed.edgeLo; ceid-- {
-				if s.edgeSub[ceid] > layer {
-					if first >= 0 {
-						st = append(st, first)
-					}
-					first = ceid
-				}
-			}
-			if first >= 0 {
-				eid = first
-				goto descend
-			}
-		}
-	}
-	e.fwdStack = st[:0]
-}
-
-// walkSubtree delivers one admitted packet through subtree j: the
-// ordinary fused walk, starting with the delivery at the subtree root
-// (the cut edge's crossing and admission already happened in the core
-// phase), drawing only from the subtree's stream and mutating only
-// subtree-owned state. Runs concurrently with walks of other subtrees.
-func (e *engine) walkSubtree(s *sessState, p *treePartition, j int, layer int32, st []int32) []int32 {
-	rng := p.rngs[j]
-	node := p.subRoot[j]
-	countJoins := s.cfg.Protocol != protocol.Coordinated
-	for x := s.recvStart[node]; x < s.recvStart[node+1]; x++ {
-		k := s.recvList[x]
-		if s.levels[k] > layer {
-			s.received[k]++
-			if countJoins {
-				s.countdown[k]--
-				if s.countdown[k] <= 0 {
-					e.joinReceiverSub(s, p, j, int(k), rng)
-				}
-			}
-		}
-	}
-	st = st[:0]
-	if s.wide[node] {
-		base := s.edgeStart[node]
-		for q := s.gt[(node<<s.rowShift)+layer] - 1; q >= 0; q-- {
-			st = append(st, s.order[base+q])
-		}
-	} else {
-		for ceid := s.edgeStart[node+1] - 1; ceid >= s.edgeStart[node]; ceid-- {
-			if s.edgeSub[ceid] > layer {
-				st = append(st, ceid)
-			}
-		}
-	}
-	for len(st) > 0 {
-		eid := st[len(st)-1]
-		st = st[:len(st)-1]
-	descend:
-		ed := &s.hot[eid]
-		s.crossed[eid]++
-		dropped := false
-		switch int8(ed.meta & metaKindMask) {
-		case ekAlways:
-		case ekBernoulli:
-			gap := s.lossGap[eid]
-			if gap == 0 {
-				// protocol.SampleGeometricInv, textually inlined, against
-				// the subtree's stream.
-				u := rng.Float64()
-				if u <= 0 {
-					u = math.SmallestNonzeroFloat64
-				}
-				gap = int64(math.Log(u)*s.cold[eid].invLog) + 1
-				if gap < 1 {
-					gap = 1
-				}
-			}
-			gap--
-			s.lossGap[eid] = gap
-			dropped = gap == 0
-		case ekLayerLoss:
-			ll := e.linkLayerLoss[ed.link]
-			pr := ll[len(ll)-1]
-			if int(layer) < len(ll) {
-				pr = ll[layer]
-			}
-			dropped = pr > 0 && rng.Float64() < pr
-		default: // ekCapacity (subtree-owned demand row); ekDropTail excluded
-			cd := &e.capDem[ed.capIdx]
-			d := cd.dem + cd.bg
-			dropped = d > cd.cap && rng.Float64()*d < d-cd.cap
-		}
-		if dropped {
-			s.cold[eid].drops++
-			// notifyLoss, bounded: an in-subtree edge's downstream
-			// receivers all live in the subtree.
-			for _, k := range s.downRecv[s.downStart[eid]:s.downStart[eid+1]] {
-				if s.levels[k] > layer {
-					e.congestReceiverSub(s, p, j, int(k), rng)
-				}
-			}
-			continue
-		}
-		for x := ed.recvLo; x < ed.recvHi; x++ {
-			k := s.recvList[x]
-			if s.levels[k] > layer {
-				s.received[k]++
-				if countJoins {
-					s.countdown[k]--
-					if s.countdown[k] <= 0 {
-						e.joinReceiverSub(s, p, j, int(k), rng)
-					}
-				}
-			}
-		}
-		if ed.meta&metaWide != 0 {
-			if cn := s.gt[ed.gtOff+layer]; cn > 0 {
-				cb := ed.edgeLo
-				for q := cn - 1; q >= 1; q-- {
-					st = append(st, s.order[cb+q])
-				}
-				eid = s.order[cb]
-				goto descend
-			}
-		} else {
-			first := int32(-1)
-			for ceid := ed.edgeHi - 1; ceid >= ed.edgeLo; ceid-- {
-				if s.edgeSub[ceid] > layer {
-					if first >= 0 {
-						st = append(st, first)
-					}
-					first = ceid
-				}
-			}
-			if first >= 0 {
-				eid = first
-				goto descend
-			}
-		}
-	}
-	return st[:0]
-}
-
-// levelChangeSub is applyLevelChange bounded to subtree j, for the
-// parallel phase: accounting lands in the subtree's partition row, and
-// propagation stops at the subtree root — the cut edge's bookkeeping is
-// deferred to rollupSubtree. The sentinel capacity row is shared across
-// subtrees, so (unlike the sequential path's blind branch-free write)
-// the demand update skips non-Capacity edges.
-func (e *engine) levelChangeSub(s *sessState, p *treePartition, j, k int, nl int32) {
-	a := s.levels[k]
-	if nl == a {
-		return
-	}
-	p.levelInt[j] += float64(p.sumLevel[j]) * (e.now - p.levelT[j])
-	p.levelT[j] = e.now
-	p.sumLevel[j] += int64(nl - a)
-	s.levels[k] = nl
-	row := j * int(p.mrow)
-	p.nAtLevel[row+int(a)]--
-	p.nAtLevel[row+int(nl)]++
-	nd := s.recvNode[k]
-	b := nl
-	root := p.subRoot[j]
-	for {
-		om := s.subMax[nd]
-		var nm int32
-		if s.solo[nd] {
-			nm = b
-		} else {
-			crow := nd << s.rowShift
-			if a > 0 {
-				s.lvlCnt[crow+a]--
-			}
-			if b > 0 {
-				s.lvlCnt[crow+b]++
-			}
-			nm = om
-			if b > om {
-				nm = b
-			} else if a == om && s.lvlCnt[crow+om] == 0 {
-				for nm--; nm > 0 && s.lvlCnt[crow+nm] == 0; nm-- {
-				}
-			}
-		}
-		if nm == om {
-			return
-		}
-		s.subMax[nd] = nm
-		if nd == root {
-			return // cut-edge bookkeeping is rollupSubtree's
-		}
-		eid := s.parentEdge[nd]
-		s.fluidInt[eid] += s.cum[om] * (e.now - s.fluidT[eid])
-		s.fluidT[eid] = e.now
-		s.edgeSub[eid] = nm
-		if e.trackDemand {
-			if ci := s.hot[eid].capIdx; ci != e.capSentinel {
-				e.capDem[ci].dem += s.cum[nm] - s.cum[om]
-			}
-		}
-		pnd := s.parent[nd]
-		if s.wide[pnd] {
-			s.reorder(eid, pnd, om, nm)
-		}
-		a, b = om, nm
-		nd = pnd
-	}
-}
-
-// armReceiverSub is armReceiver against the subtree's stream.
-func (e *engine) armReceiverSub(s *sessState, k int, lv int32, rng *rand.Rand) {
-	switch s.cfg.Protocol {
-	case protocol.Deterministic:
-		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
-	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(rng, 1/float64(protocol.JoinThreshold(int(lv)))))
-	case protocol.Coordinated:
-		s.clean[k] = true
-	}
-}
-
-// joinReceiverSub is joinReceiver bounded to subtree j.
-func (e *engine) joinReceiverSub(s *sessState, p *treePartition, j, k int, rng *rand.Rand) {
-	lv := s.levels[k]
-	if lv < s.m {
-		lv++
-		e.levelChangeSub(s, p, j, k, lv)
-	}
-	e.armReceiverSub(s, k, lv, rng)
-}
-
-// congestReceiverSub is congestReceiver bounded to subtree j.
-func (e *engine) congestReceiverSub(s *sessState, p *treePartition, j, k int, rng *rand.Rand) {
-	lv := s.levels[k]
-	if lv > 1 {
-		lv--
-		e.levelChangeSub(s, p, j, k, lv)
-	}
-	s.clean[k] = false
-	switch s.cfg.Protocol {
-	case protocol.Deterministic:
-		s.countdown[k] = int64(protocol.JoinThreshold(int(lv)))
-	case protocol.Uncoordinated:
-		s.countdown[k] = int64(protocol.SampleGeometric(rng, 1/float64(protocol.JoinThreshold(int(lv)))))
 	}
 }
 
@@ -787,13 +429,15 @@ func (e *engine) rollupSubtree(s *sessState, j int) {
 	s.fluidT[eid] = e.now
 	s.edgeSub[eid] = nm
 	if e.trackDemand {
-		e.capDem[s.hot[eid].capIdx].dem += s.cum[nm] - s.cum[om]
+		if ci := s.hot[eid].capIdx; ci != e.capSentinel {
+			e.capDem[ci].dem += s.cum[nm] - s.cum[om]
+		}
 	}
 	pnd := s.parent[root]
 	if s.wide[pnd] {
 		s.reorder(eid, pnd, om, nm)
 	}
-	e.propagateFrom(s, pnd, om, nm)
+	e.propagateFrom(s, e.seqWalker(), pnd, om, nm)
 }
 
 // sessionLevelIntegral is the session's level integral at time now:
